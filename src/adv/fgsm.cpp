@@ -26,21 +26,4 @@ Tensor fgsm_attack(nn::Network& net, const Tensor& images,
   return adv;
 }
 
-Tensor bim_attack(nn::Network& net, const Tensor& images,
-                  const std::vector<std::int64_t>& labels, float epsilon,
-                  int steps) {
-  if (steps < 1) throw std::invalid_argument("bim: steps must be >= 1");
-  const float step_eps = epsilon / static_cast<float>(steps);
-  Tensor adv = images;
-  for (int s = 0; s < steps; ++s) {
-    adv = fgsm_attack(net, adv, labels, step_eps);
-    // Project back into the epsilon ball around the original images.
-    for (std::int64_t i = 0; i < adv.numel(); ++i) {
-      adv[i] = std::clamp(adv[i], images[i] - epsilon, images[i] + epsilon);
-      adv[i] = std::clamp(adv[i], 0.0F, 1.0F);
-    }
-  }
-  return adv;
-}
-
 }  // namespace pgmr::adv

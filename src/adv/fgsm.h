@@ -26,10 +26,4 @@ Tensor input_gradient(nn::Network& net, const Tensor& images,
 Tensor fgsm_attack(nn::Network& net, const Tensor& images,
                    const std::vector<std::int64_t>& labels, float epsilon);
 
-/// Iterated FGSM (BIM): `steps` FGSM steps of size epsilon/steps, each
-/// re-linearized; a stronger attack at the same total budget.
-Tensor bim_attack(nn::Network& net, const Tensor& images,
-                  const std::vector<std::int64_t>& labels, float epsilon,
-                  int steps);
-
 }  // namespace pgmr::adv

@@ -1,63 +1,24 @@
 #include "calib/mc_dropout.h"
 
 #include <stdexcept>
-#include <vector>
 
 #include "nn/softmax.h"
 
 namespace pgmr::calib {
-namespace {
-
-std::vector<Tensor> stochastic_passes(nn::Network& net, const Tensor& images,
-                                      int passes) {
-  if (passes < 1) {
-    throw std::invalid_argument("mc_dropout: passes must be >= 1");
-  }
-  std::vector<Tensor> out;
-  out.reserve(static_cast<std::size_t>(passes));
-  for (int p = 0; p < passes; ++p) {
-    // train=true activates dropout masks; each pass draws fresh masks from
-    // the layers' internal RNG streams.
-    out.push_back(nn::softmax(net.forward(images, /*train=*/true)));
-  }
-  return out;
-}
-
-}  // namespace
 
 Tensor mc_dropout_probabilities(nn::Network& net, const Tensor& images,
                                 int passes) {
-  const auto samples = stochastic_passes(net, images, passes);
-  Tensor mean = samples.front();
-  for (std::size_t p = 1; p < samples.size(); ++p) mean += samples[p];
+  if (passes < 1) {
+    throw std::invalid_argument("mc_dropout: passes must be >= 1");
+  }
+  // train=true activates dropout masks; each pass draws fresh masks from
+  // the layers' internal RNG streams.
+  Tensor mean = nn::softmax(net.forward(images, /*train=*/true));
+  for (int p = 1; p < passes; ++p) {
+    mean += nn::softmax(net.forward(images, /*train=*/true));
+  }
   mean *= 1.0F / static_cast<float>(passes);
   return mean;
-}
-
-Tensor mc_dropout_variance(nn::Network& net, const Tensor& images,
-                           int passes) {
-  const auto samples = stochastic_passes(net, images, passes);
-  const std::int64_t n = samples.front().shape()[0];
-  // Top-1 class from the mean distribution, then variance of its
-  // probability across passes.
-  Tensor mean = samples.front();
-  for (std::size_t p = 1; p < samples.size(); ++p) mean += samples[p];
-  mean *= 1.0F / static_cast<float>(passes);
-
-  Tensor variance(Shape{n});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t top = mean.argmax_row(i);
-    double sum = 0.0, sum2 = 0.0;
-    for (const Tensor& s : samples) {
-      const double v = s.at(i, top);
-      sum += v;
-      sum2 += v * v;
-    }
-    const double m = sum / passes;
-    variance[i] = static_cast<float>(
-        std::max(0.0, sum2 / passes - m * m));
-  }
-  return variance;
 }
 
 }  // namespace pgmr::calib

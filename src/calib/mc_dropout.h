@@ -20,10 +20,4 @@ namespace pgmr::calib {
 Tensor mc_dropout_probabilities(nn::Network& net, const Tensor& images,
                                 int passes);
 
-/// Per-sample predictive variance of the top-1 probability across passes —
-/// a second uncertainty signal (high variance = unstable prediction).
-/// Returns a [N] tensor (rank-1).
-Tensor mc_dropout_variance(nn::Network& net, const Tensor& images,
-                           int passes);
-
 }  // namespace pgmr::calib

@@ -23,15 +23,6 @@ void PolygraphSystem::apply_protection(
   }
 }
 
-std::vector<nn::Protection> PolygraphSystem::protection_levels() const {
-  std::vector<nn::Protection> levels;
-  levels.reserve(ensemble_.size());
-  for (std::size_t m = 0; m < ensemble_.size(); ++m) {
-    levels.push_back(ensemble_.member(m).protection());
-  }
-  return levels;
-}
-
 mr::SweepPoint PolygraphSystem::profile(
     const Tensor& val_images, const std::vector<std::int64_t>& val_labels,
     double tp_floor) {

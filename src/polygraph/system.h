@@ -59,9 +59,6 @@ class PolygraphSystem {
   /// inference is in flight. Throws std::invalid_argument on size mismatch.
   void apply_protection(const std::vector<nn::Protection>& levels);
 
-  /// The current per-member protection levels, in slot order.
-  std::vector<nn::Protection> protection_levels() const;
-
   /// Offline profiling stage (Section III-E): sweeps (Thr_Conf, Thr_Freq)
   /// on the validation set, installs the Pareto point with minimum FP
   /// subject to tp_rate >= tp_floor, and returns it.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/crc32.h"
 
@@ -48,6 +49,45 @@ bool read_exact(int fd, void* buf, std::size_t n, bool eof_ok) {
   return true;
 }
 
+// Stats fields on the wire: a scalar is a u64, a per-member vector is a u32
+// count then its u64s, a histogram is its fixed bucket count of u64s.
+void put(PayloadWriter& w, std::uint64_t v) { w.u64(v); }
+
+void put(PayloadWriter& w, const std::vector<std::uint64_t>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (std::uint64_t x : v) w.u64(x);
+}
+
+void put(PayloadWriter& w, const runtime::Histogram& h) {
+  for (std::uint64_t b : h) w.u64(b);
+}
+
+void get(PayloadReader& r, std::uint64_t& v) { v = r.u64(); }
+
+void get(PayloadReader& r, std::vector<std::uint64_t>& v) {
+  const std::uint32_t n = r.u32();
+  if (n > 4096) throw WireError("wire: stats vector too large");
+  v.resize(n);
+  for (std::uint64_t& x : v) x = r.u64();
+}
+
+void get(PayloadReader& r, runtime::Histogram& h) {
+  for (std::uint64_t& b : h) b = r.u64();
+}
+
+/// Scalar fields in the metric table. The stats payload leads with it, so a
+/// worker built with a different table is refused instead of misread.
+constexpr std::uint32_t kStatsScalars = [] {
+  std::uint32_t n = 0;
+  runtime::for_each_metric([&n](const char*, auto field, runtime::Merge) {
+    if constexpr (std::is_same_v<decltype(field),
+                                 std::uint64_t runtime::MetricsSnapshot::*>) {
+      ++n;
+    }
+  });
+  return n;
+}();
+
 }  // namespace
 
 // ---- payload writer/reader ----------------------------------------------
@@ -83,6 +123,13 @@ void PayloadWriter::tensor(const Tensor& t) {
 void PayloadReader::need(std::size_t n) const {
   if (bytes_.size() - pos_ < n) {
     throw WireError("wire: payload exhausted mid-field");
+  }
+}
+
+void PayloadReader::expect_end() const {
+  if (pos_ != bytes_.size()) {
+    throw WireError("wire: " + std::to_string(bytes_.size() - pos_) +
+                    " trailing payload bytes");
   }
 }
 
@@ -173,6 +220,7 @@ HelloMsg decode_hello(const std::vector<std::uint8_t>& payload) {
   HelloMsg m;
   m.pid = r.u64();
   m.members = r.u32();
+  r.expect_end();
   return m;
 }
 
@@ -194,6 +242,7 @@ SubmitMsg decode_submit(const std::vector<std::uint8_t>& payload) {
   m.id = r.u64();
   m.deadline_us = r.i64();
   m.image = r.tensor();
+  r.expect_end();
   return m;
 }
 
@@ -235,38 +284,17 @@ VerdictMsg decode_verdict(const std::vector<std::uint8_t>& payload) {
   } else {
     m.error = r.str();
   }
+  r.expect_end();
   return m;
 }
 
 std::vector<std::uint8_t> encode_stats(const runtime::MetricsSnapshot& s) {
   PayloadWriter w;
   w.u8(static_cast<std::uint8_t>(FrameType::stats));
-  w.u64(s.requests_submitted);
-  w.u64(s.requests_completed);
-  w.u64(s.requests_rejected);
-  w.u64(s.requests_shed);
-  w.u64(s.batches);
-  w.u64(s.batch_size_sum);
-  w.u64(s.max_batch_size);
-  w.u64(s.reliable);
-  w.u64(s.unreliable);
-  w.u64(s.degraded_verdicts);
-  w.u64(s.scrub_cycles);
-  w.u64(s.replacements_started);
-  w.u64(s.replacements_completed);
-  w.u64(s.replacements_failed);
-  w.u64(s.quorum_size);
-  const auto vec = [&w](const std::vector<std::uint64_t>& v) {
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (std::uint64_t x : v) w.u64(x);
-  };
-  vec(s.member_activations);
-  vec(s.member_faults);
-  vec(s.quarantine_events);
-  vec(s.crc_mismatches);
-  vec(s.weight_reloads);
-  for (std::uint64_t b : s.latency_buckets) w.u64(b);
-  for (std::uint64_t b : s.scrub_hold_buckets) w.u64(b);
+  w.u32(kStatsScalars);
+  runtime::for_each_metric([&](const char*, auto field, runtime::Merge) {
+    put(w, s.*field);
+  });
   return w.take();
 }
 
@@ -276,35 +304,14 @@ runtime::MetricsSnapshot decode_stats(
   if (r.u8() != static_cast<std::uint8_t>(FrameType::stats)) {
     throw WireError("wire: not a stats frame");
   }
+  if (r.u32() != kStatsScalars) {
+    throw WireError("wire: stats frame from a different metric table");
+  }
   runtime::MetricsSnapshot s;
-  s.requests_submitted = r.u64();
-  s.requests_completed = r.u64();
-  s.requests_rejected = r.u64();
-  s.requests_shed = r.u64();
-  s.batches = r.u64();
-  s.batch_size_sum = r.u64();
-  s.max_batch_size = r.u64();
-  s.reliable = r.u64();
-  s.unreliable = r.u64();
-  s.degraded_verdicts = r.u64();
-  s.scrub_cycles = r.u64();
-  s.replacements_started = r.u64();
-  s.replacements_completed = r.u64();
-  s.replacements_failed = r.u64();
-  s.quorum_size = r.u64();
-  const auto vec = [&r](std::vector<std::uint64_t>& v) {
-    const std::uint32_t n = r.u32();
-    if (n > 4096) throw WireError("wire: stats vector too large");
-    v.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) v[i] = r.u64();
-  };
-  vec(s.member_activations);
-  vec(s.member_faults);
-  vec(s.quarantine_events);
-  vec(s.crc_mismatches);
-  vec(s.weight_reloads);
-  for (std::uint64_t& b : s.latency_buckets) b = r.u64();
-  for (std::uint64_t& b : s.scrub_hold_buckets) b = r.u64();
+  runtime::for_each_metric([&](const char*, auto field, runtime::Merge) {
+    get(r, s.*field);
+  });
+  r.expect_end();
   return s;
 }
 

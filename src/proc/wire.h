@@ -11,16 +11,17 @@
 // of the stream — the connection is considered poisoned and the peer
 // fail-stops it (the supervisor restarts the worker, the worker exits).
 // Nothing in the protocol can crash either side on malformed input: every
-// payload decoder is bounds-checked and throws WireError instead of
-// reading out of range.
+// payload decoder is bounds-checked, throws WireError instead of reading
+// out of range, and rejects bytes left over after its last field.
 //
 // Payloads: the first byte is the FrameType, the rest is type-specific.
 //
 //   hello     worker -> sup   pid + ensemble member count; "serving now"
 //   submit    sup -> worker   request id, deadline budget, [1,C,H,W] image
 //   verdict   worker -> sup   request id + Verdict, or an error class
-//   stats     worker -> sup   cumulative runtime::MetricsSnapshot; sent
-//                             after every verdict and at drain, so the
+//   stats     worker -> sup   cumulative runtime::MetricsSnapshot, led by
+//                             the metric table's scalar count; sent after
+//                             every verdict and at drain, so the
 //                             supervisor's view survives a SIGKILL with at
 //                             most one request of drift
 //   ping/pong either          heartbeat probe and its echo
@@ -47,7 +48,8 @@
 namespace pgmr::proc {
 
 /// Any framing/codec violation: truncated stream, bad magic, oversized
-/// length, CRC mismatch, or a payload shorter than its decoder expects.
+/// length, CRC mismatch, or a payload shorter or longer than its decoder
+/// expects.
 class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
@@ -102,7 +104,9 @@ class PayloadReader {
   std::string str();
   Tensor tensor();
 
-  std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// Throws WireError unless every byte has been read: a decoder that
+  /// finishes early was handed a frame of another shape.
+  void expect_end() const;
 
  private:
   void need(std::size_t n) const;

@@ -6,19 +6,7 @@
 
 namespace pgmr::runtime {
 
-double MetricsSnapshot::mean_batch_size() const {
-  return batches ? static_cast<double>(batch_size_sum) /
-                       static_cast<double>(batches)
-                 : 0.0;
-}
-
-namespace {
-
-/// Nearest-rank quantile over a geometric-bucket histogram, estimated as
-/// the upper bound of the bucket containing the target rank.
-std::uint64_t bucket_quantile(
-    const std::array<std::uint64_t, kLatencyBucketBounds.size()>& buckets,
-    double q) {
+std::uint64_t histogram_quantile(const Histogram& buckets, double q) {
   std::uint64_t total = 0;
   for (std::uint64_t c : buckets) total += c;
   if (total == 0) return 0;
@@ -34,132 +22,96 @@ std::uint64_t bucket_quantile(
   return kLatencyBucketBounds.back();
 }
 
+namespace {
+
+void dump(std::string& out, const char* name, std::uint64_t v) {
+  char line[96];
+  std::snprintf(line, sizeof(line), "%-24s %llu\n", name,
+                static_cast<unsigned long long>(v));
+  out += line;
+}
+
+void dump(std::string& out, const char* name,
+          const std::vector<std::uint64_t>& per_member) {
+  char slot[64];
+  for (std::size_t m = 0; m < per_member.size(); ++m) {
+    std::snprintf(slot, sizeof(slot), "%s[%zu]", name, m);
+    dump(out, slot, per_member[m]);
+  }
+}
+
+void dump(std::string& out, const char* name, const Histogram& h) {
+  char quantile[64];
+  for (const double q : {0.5, 0.9, 0.99}) {
+    std::snprintf(quantile, sizeof(quantile), "%s_p%.0f_us", name, q * 100);
+    dump(out, quantile, histogram_quantile(h, q));
+  }
+}
+
+void merge_into(std::uint64_t& into, std::uint64_t part, Merge rule) {
+  into = rule == Merge::max ? std::max(into, part) : into + part;
+}
+
+/// into[i] += part[i], growing into to fit (shards may differ in ensemble
+/// width; absent slots count zero).
+void merge_into(std::vector<std::uint64_t>& into,
+                const std::vector<std::uint64_t>& part, Merge) {
+  if (part.size() > into.size()) into.resize(part.size(), 0);
+  for (std::size_t i = 0; i < part.size(); ++i) into[i] += part[i];
+}
+
+void merge_into(Histogram& into, const Histogram& part, Merge) {
+  for (std::size_t b = 0; b < part.size(); ++b) into[b] += part[b];
+}
+
+using Counter = std::atomic<std::uint64_t>;
+
+void load_into(std::uint64_t& out, const Counter& in) {
+  out = in.load(std::memory_order_relaxed);
+}
+
+void load_into(std::vector<std::uint64_t>& out,
+               const std::vector<Counter>& in) {
+  out.resize(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) load_into(out[i], in[i]);
+}
+
+void load_into(Histogram& out,
+               const std::array<Counter, kLatencyBucketBounds.size()>& in) {
+  for (std::size_t b = 0; b < in.size(); ++b) load_into(out[b], in[b]);
+}
+
 }  // namespace
-
-std::uint64_t MetricsSnapshot::latency_quantile_us(double q) const {
-  return bucket_quantile(latency_buckets, q);
-}
-
-std::uint64_t MetricsSnapshot::scrub_hold_quantile_us(double q) const {
-  return bucket_quantile(scrub_hold_buckets, q);
-}
 
 std::string MetricsSnapshot::to_string() const {
   std::string out;
+  for_each_metric([&](const char* name, auto field, Merge) {
+    dump(out, name, this->*field);
+  });
   char line[96];
-  const auto emit = [&out, &line](const char* name, std::uint64_t v) {
-    std::snprintf(line, sizeof(line), "%-24s %llu\n", name,
-                  static_cast<unsigned long long>(v));
-    out += line;
-  };
-  emit("requests_submitted", requests_submitted);
-  emit("requests_completed", requests_completed);
-  emit("requests_rejected", requests_rejected);
-  emit("requests_shed", requests_shed);
-  emit("batches", batches);
-  emit("batch_size_sum", batch_size_sum);
-  emit("max_batch_size", max_batch_size);
   std::snprintf(line, sizeof(line), "%-24s %.2f\n", "mean_batch_size",
                 mean_batch_size());
   out += line;
-  emit("reliable", reliable);
-  emit("unreliable", unreliable);
-  emit("degraded_verdicts", degraded_verdicts);
-  for (std::size_t m = 0; m < member_activations.size(); ++m) {
-    std::snprintf(line, sizeof(line), "member_activations[%zu]   %llu\n", m,
-                  static_cast<unsigned long long>(member_activations[m]));
-    out += line;
-  }
-  for (std::size_t m = 0; m < member_faults.size(); ++m) {
-    std::snprintf(line, sizeof(line), "member_faults[%zu]        %llu\n", m,
-                  static_cast<unsigned long long>(member_faults[m]));
-    out += line;
-  }
-  for (std::size_t m = 0; m < quarantine_events.size(); ++m) {
-    std::snprintf(line, sizeof(line), "quarantine_events[%zu]    %llu\n", m,
-                  static_cast<unsigned long long>(quarantine_events[m]));
-    out += line;
-  }
-  emit("scrub_cycles", scrub_cycles);
-  emit("replacements_started", replacements_started);
-  emit("replacements_completed", replacements_completed);
-  emit("replacements_failed", replacements_failed);
-  emit("quorum_size", quorum_size);
-  for (std::size_t m = 0; m < crc_mismatches.size(); ++m) {
-    std::snprintf(line, sizeof(line), "crc_mismatches[%zu]       %llu\n", m,
-                  static_cast<unsigned long long>(crc_mismatches[m]));
-    out += line;
-  }
-  for (std::size_t m = 0; m < weight_reloads.size(); ++m) {
-    std::snprintf(line, sizeof(line), "weight_reloads[%zu]       %llu\n", m,
-                  static_cast<unsigned long long>(weight_reloads[m]));
-    out += line;
-  }
-  for (const double q : {0.5, 0.9, 0.99}) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "latency_p%.0f_us", q * 100);
-    emit(name, latency_quantile_us(q));
-  }
-  for (const double q : {0.5, 0.99}) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "scrub_hold_p%.0f_us", q * 100);
-    emit(name, scrub_hold_quantile_us(q));
-  }
   return out;
 }
-
-namespace {
-
-/// result[i] += part[i], growing result to fit (shards may differ in
-/// ensemble width; absent slots count zero).
-void accumulate(std::vector<std::uint64_t>& result,
-                const std::vector<std::uint64_t>& part) {
-  if (part.size() > result.size()) result.resize(part.size(), 0);
-  for (std::size_t i = 0; i < part.size(); ++i) result[i] += part[i];
-}
-
-}  // namespace
 
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot merged;
   for (const MetricsSnapshot& p : parts) {
-    merged.requests_submitted += p.requests_submitted;
-    merged.requests_completed += p.requests_completed;
-    merged.requests_rejected += p.requests_rejected;
-    merged.requests_shed += p.requests_shed;
-    merged.batches += p.batches;
-    merged.batch_size_sum += p.batch_size_sum;
-    merged.max_batch_size = std::max(merged.max_batch_size, p.max_batch_size);
-    merged.reliable += p.reliable;
-    merged.unreliable += p.unreliable;
-    merged.degraded_verdicts += p.degraded_verdicts;
-    merged.scrub_cycles += p.scrub_cycles;
-    merged.replacements_started += p.replacements_started;
-    merged.replacements_completed += p.replacements_completed;
-    merged.replacements_failed += p.replacements_failed;
-    merged.quorum_size += p.quorum_size;
-    accumulate(merged.member_activations, p.member_activations);
-    accumulate(merged.member_faults, p.member_faults);
-    accumulate(merged.quarantine_events, p.quarantine_events);
-    accumulate(merged.crc_mismatches, p.crc_mismatches);
-    accumulate(merged.weight_reloads, p.weight_reloads);
-    for (std::size_t b = 0; b < p.latency_buckets.size(); ++b) {
-      merged.latency_buckets[b] += p.latency_buckets[b];
-    }
-    for (std::size_t b = 0; b < p.scrub_hold_buckets.size(); ++b) {
-      merged.scrub_hold_buckets[b] += p.scrub_hold_buckets[b];
-    }
+    for_each_metric([&](const char*, auto field, Merge rule) {
+      merge_into(merged.*field, p.*field, rule);
+    });
   }
   return merged;
 }
 
-MetricsRegistry::MetricsRegistry(std::size_t members)
-    : quorum_size_{members},
-      member_activations_(members),
-      member_faults_(members),
-      quarantine_events_(members),
-      crc_mismatches_(members),
-      weight_reloads_(members) {}
+MetricsRegistry::MetricsRegistry(std::size_t members) : quorum_size_{members} {
+#define PGMR_NONE(...)
+#define PGMR_SIZE(name) name##_ = std::vector<Counter>(members);
+  PGMR_METRICS(PGMR_NONE, PGMR_SIZE, PGMR_NONE, PGMR_NONE)
+#undef PGMR_NONE
+#undef PGMR_SIZE
+}
 
 void MetricsRegistry::on_batch(std::uint64_t size) {
   add(batches_);
@@ -170,70 +122,21 @@ void MetricsRegistry::on_batch(std::uint64_t size) {
   }
 }
 
-void MetricsRegistry::on_latency_us(std::uint64_t micros) {
-  for (std::size_t b = 0; b < kLatencyBucketBounds.size(); ++b) {
-    if (micros <= kLatencyBucketBounds[b]) {
-      add(latency_buckets_[b]);
-      return;
-    }
-  }
-}
-
-void MetricsRegistry::on_scrub_hold_us(std::uint64_t micros) {
-  for (std::size_t b = 0; b < kLatencyBucketBounds.size(); ++b) {
-    if (micros <= kLatencyBucketBounds[b]) {
-      add(scrub_hold_buckets_[b]);
-      return;
-    }
-  }
+std::size_t MetricsRegistry::bucket_of(std::uint64_t micros) {
+  // The last bound is UINT64_MAX, so some bucket always takes the sample.
+  return static_cast<std::size_t>(
+      std::lower_bound(kLatencyBucketBounds.begin(),
+                       kLatencyBucketBounds.end(), micros) -
+      kLatencyBucketBounds.begin());
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
-  s.requests_submitted = requests_submitted_.load(std::memory_order_relaxed);
-  s.requests_completed = requests_completed_.load(std::memory_order_relaxed);
-  s.requests_rejected = requests_rejected_.load(std::memory_order_relaxed);
-  s.requests_shed = requests_shed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batch_size_sum = batch_size_sum_.load(std::memory_order_relaxed);
-  s.max_batch_size = max_batch_size_.load(std::memory_order_relaxed);
-  s.reliable = reliable_.load(std::memory_order_relaxed);
-  s.unreliable = unreliable_.load(std::memory_order_relaxed);
-  s.degraded_verdicts = degraded_verdicts_.load(std::memory_order_relaxed);
-  s.member_activations.reserve(member_activations_.size());
-  for (const auto& a : member_activations_) {
-    s.member_activations.push_back(a.load(std::memory_order_relaxed));
-  }
-  s.member_faults.reserve(member_faults_.size());
-  for (const auto& f : member_faults_) {
-    s.member_faults.push_back(f.load(std::memory_order_relaxed));
-  }
-  s.quarantine_events.reserve(quarantine_events_.size());
-  for (const auto& q : quarantine_events_) {
-    s.quarantine_events.push_back(q.load(std::memory_order_relaxed));
-  }
-  s.scrub_cycles = scrub_cycles_.load(std::memory_order_relaxed);
-  s.replacements_started =
-      replacements_started_.load(std::memory_order_relaxed);
-  s.replacements_completed =
-      replacements_completed_.load(std::memory_order_relaxed);
-  s.replacements_failed = replacements_failed_.load(std::memory_order_relaxed);
-  s.quorum_size = quorum_size_.load(std::memory_order_relaxed);
-  s.crc_mismatches.reserve(crc_mismatches_.size());
-  for (const auto& c : crc_mismatches_) {
-    s.crc_mismatches.push_back(c.load(std::memory_order_relaxed));
-  }
-  s.weight_reloads.reserve(weight_reloads_.size());
-  for (const auto& r : weight_reloads_) {
-    s.weight_reloads.push_back(r.load(std::memory_order_relaxed));
-  }
-  for (std::size_t b = 0; b < latency_buckets_.size(); ++b) {
-    s.latency_buckets[b] = latency_buckets_[b].load(std::memory_order_relaxed);
-  }
-  for (std::size_t b = 0; b < scrub_hold_buckets_.size(); ++b) {
-    s.scrub_hold_buckets[b] =
-        scrub_hold_buckets_[b].load(std::memory_order_relaxed);
-  }
+#define PGMR_COPY(name, ...) load_into(s.name, name##_);
+#define PGMR_COPY_MEAN(count, total, mean) PGMR_COPY(count) PGMR_COPY(total)
+  PGMR_METRICS(PGMR_COPY, PGMR_COPY, PGMR_COPY_MEAN, PGMR_COPY)
+#undef PGMR_COPY
+#undef PGMR_COPY_MEAN
   return s;
 }
 

@@ -1,24 +1,14 @@
-// Embedded serving metrics: atomic counters plus a fixed-bucket latency
-// histogram, so runtime behaviour is observable without external tooling.
+// Embedded serving metrics: atomic counters plus fixed-bucket histograms,
+// so runtime behaviour is observable without external tooling.
 //
 // Writers (submitters, the batcher) bump atomics with relaxed ordering —
 // metrics never synchronize the data path. Readers take a snapshot(),
 // which is a plain value: consistent enough for reporting, free of locks.
 //
-// Schema (all counts cumulative since construction):
-//   requests_submitted / completed / rejected
-//   requests_shed                               -> deadline-expired drops
-//   batches, batch_size_sum, max_batch_size     -> coalescing behaviour
-//   reliable / unreliable                       -> verdict quality split
-//   degraded_verdicts                           -> served without full quorum
-//   member_activations[m]                       -> RADE activation counts
-//   member_faults[m] / quarantine_events[m]     -> fault-isolation activity
-//   scrub_cycles                                -> weight-scrubber sweeps
-//   crc_mismatches[m] / weight_reloads[m]       -> scrubber detections/heals
-//   scrub_hold histogram (per-acquisition swap-mutex hold, microseconds)
-//   replacements_started / completed / failed   -> member-replacer activity
-//   quorum_size (gauge)                         -> members not fenced
-//   latency histogram (end-to-end, microseconds, geometric buckets)
+// Every metric is declared once, in PGMR_METRICS below. The snapshot
+// fields, the registry atomics, snapshot(), to_string(), merge_snapshots()
+// and the proc wire codec are generated from that list, so a metric added
+// there is stored, dumped, merged and shipped with no further edits.
 #pragma once
 
 #include <array>
@@ -36,59 +26,100 @@ inline constexpr std::array<std::uint64_t, 16> kLatencyBucketBounds = {
     12800,  25600,  51200,   102400,  204800,  409600,   819200,
     UINT64_MAX};
 
+/// Per-bucket sample counts of one microsecond histogram. Every histogram
+/// shares kLatencyBucketBounds, so merged quantiles equal the quantiles of
+/// the pooled samples.
+using Histogram = std::array<std::uint64_t, kLatencyBucketBounds.size()>;
+
+/// Nearest-rank value (micros) at quantile q in [0,1], estimated as the
+/// upper bound of the bucket holding that rank (conservative); 0 if empty.
+std::uint64_t histogram_quantile(const Histogram& buckets, double q);
+
+/// How merge_snapshots combines one field across shards.
+enum class Merge { sum, max };
+
+// The metric table. All counts are cumulative since construction.
+//   SCALAR(name, merge)       one counter, merged across shards by `merge`
+//   MEMBER(name)              one counter per ensemble member; merges
+//                             slot-wise, padded to the widest ensemble
+//   MEAN(count, sum, mean)    two summed counters; mean() is sum / count
+//   HISTOGRAM(name, quantile) a Histogram; merges bucket-wise;
+//                             quantile(q) reads it (see histogram_quantile)
+#define PGMR_METRICS(SCALAR, MEMBER, MEAN, HISTOGRAM)                        \
+  SCALAR(requests_submitted, sum)                                           \
+  SCALAR(requests_completed, sum)                                           \
+  SCALAR(requests_rejected, sum)                                            \
+  SCALAR(requests_shed, sum) /* deadline-expired drops */                   \
+  MEAN(batches, batch_size_sum, mean_batch_size) /* coalescing */           \
+  SCALAR(max_batch_size, max)                                               \
+  SCALAR(reliable, sum) /* verdict quality split */                         \
+  SCALAR(unreliable, sum)                                                   \
+  SCALAR(degraded_verdicts, sum) /* served without full quorum */           \
+  MEMBER(member_activations)     /* RADE activation counts */               \
+  MEMBER(member_faults)          /* fault-isolation activity */             \
+  MEMBER(quarantine_events)                                                 \
+  SCALAR(scrub_cycles, sum) /* weight-scrubber sweeps */                    \
+  SCALAR(replacements_started, sum) /* member-replacer activity */          \
+  SCALAR(replacements_completed, sum)                                       \
+  SCALAR(replacements_failed, sum)                                          \
+  SCALAR(quorum_size, sum) /* gauge: members in service; sums fleet-wide */ \
+  MEMBER(crc_mismatches)   /* scrubber detections */                        \
+  MEMBER(weight_reloads)   /* scrubber heals */                             \
+  HISTOGRAM(latency_buckets, latency_quantile_us) /* end to end */          \
+  /* swap-mutex hold per scrubber acquisition (one per member per sweep) */ \
+  HISTOGRAM(scrub_hold_buckets, scrub_hold_quantile_us)
+
 /// A plain-value copy of every metric, safe to pass around and print.
 struct MetricsSnapshot {
-  std::uint64_t requests_submitted = 0;
-  std::uint64_t requests_completed = 0;
-  std::uint64_t requests_rejected = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_size_sum = 0;
-  std::uint64_t max_batch_size = 0;
-  std::uint64_t reliable = 0;
-  std::uint64_t unreliable = 0;
-  std::uint64_t degraded_verdicts = 0;
-  std::uint64_t scrub_cycles = 0;
-  std::uint64_t replacements_started = 0;
-  std::uint64_t replacements_completed = 0;
-  std::uint64_t replacements_failed = 0;
-  std::uint64_t quorum_size = 0;  ///< gauge: members currently in service
-  std::vector<std::uint64_t> member_activations;
-  std::vector<std::uint64_t> member_faults;
-  std::vector<std::uint64_t> quarantine_events;
-  std::vector<std::uint64_t> crc_mismatches;
-  std::vector<std::uint64_t> weight_reloads;
-  std::array<std::uint64_t, kLatencyBucketBounds.size()> latency_buckets{};
-  /// Swap-mutex hold time per scrubber acquisition (one sample per member
-  /// per sweep), same geometric bounds as the latency histogram.
-  std::array<std::uint64_t, kLatencyBucketBounds.size()> scrub_hold_buckets{};
-
-  double mean_batch_size() const;
-
-  /// Latency value (micros) at quantile q in [0,1], estimated as the upper
-  /// bound of the bucket containing that quantile (conservative).
-  std::uint64_t latency_quantile_us(double q) const;
-
-  /// Scrub hold time (micros) at quantile q, same estimator as latency.
-  std::uint64_t scrub_hold_quantile_us(double q) const;
+#define PGMR_SCALAR(name, merge) std::uint64_t name = 0;
+#define PGMR_MEMBER(name) std::vector<std::uint64_t> name;
+#define PGMR_MEAN(count, total, mean)                                     \
+  std::uint64_t count = 0;                                               \
+  std::uint64_t total = 0;                                               \
+  double mean() const {                                                  \
+    return count ? static_cast<double>(total) / static_cast<double>(count) \
+                 : 0.0;                                                  \
+  }
+#define PGMR_HISTOGRAM(name, quantile) \
+  Histogram name{};                    \
+  std::uint64_t quantile(double q) const { return histogram_quantile(name, q); }
+  PGMR_METRICS(PGMR_SCALAR, PGMR_MEMBER, PGMR_MEAN, PGMR_HISTOGRAM)
+#undef PGMR_SCALAR
+#undef PGMR_MEMBER
+#undef PGMR_MEAN
+#undef PGMR_HISTOGRAM
 
   /// Multi-line "name value" text dump, one metric per line.
   std::string to_string() const;
+
+  bool operator==(const MetricsSnapshot&) const = default;
 };
 
-/// Cross-shard aggregation: counters sum, histograms merge bucket-wise
-/// (every registry shares kLatencyBucketBounds, so merged quantiles equal
-/// the quantiles of the pooled samples), per-member vectors sum slot-wise
-/// (padded to the widest ensemble), max_batch_size takes the max and the
-/// quorum_size gauge sums — the fleet's total members in service. The
-/// fleet router reports through this so serve-bench-style reports work
+/// Calls f(name, &MetricsSnapshot::field, merge) for every snapshot field
+/// in table order: a MEAN visits its count and sum, vectors and histograms
+/// visit with Merge::sum. The field type (std::uint64_t, per-member vector
+/// or Histogram) selects what the caller does with it.
+template <typename F>
+constexpr void for_each_metric(F&& f) {
+#define PGMR_SCALAR(name, merge) \
+  f(#name, &MetricsSnapshot::name, Merge::merge);
+#define PGMR_SUMMED(name, ...) f(#name, &MetricsSnapshot::name, Merge::sum);
+#define PGMR_MEAN(count, total, mean) PGMR_SUMMED(count) PGMR_SUMMED(total)
+  PGMR_METRICS(PGMR_SCALAR, PGMR_SUMMED, PGMR_MEAN, PGMR_SUMMED)
+#undef PGMR_SCALAR
+#undef PGMR_SUMMED
+#undef PGMR_MEAN
+}
+
+/// Cross-shard aggregation, field by field as the table's merge rules say.
+/// The fleet router reports through this so serve-bench-style reports work
 /// over N runtime replicas unchanged.
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
 
 /// The live registry the runtime writes into.
 class MetricsRegistry {
  public:
-  /// `members` sizes the per-member activation counters.
+  /// `members` sizes the per-member counters.
   explicit MetricsRegistry(std::size_t members);
 
   void on_submitted() { add(requests_submitted_); }
@@ -96,8 +127,8 @@ class MetricsRegistry {
   void on_shed() { add(requests_shed_); }
 
   void on_batch(std::uint64_t size);
-  void on_verdict(bool reliable) {
-    add(reliable ? reliable_ : unreliable_);
+  void on_verdict(bool is_reliable) {
+    add(is_reliable ? reliable_ : unreliable_);
     add(requests_completed_);
   }
   void on_degraded_verdict() { add(degraded_verdicts_); }
@@ -117,8 +148,12 @@ class MetricsRegistry {
   void set_quorum_size(std::uint64_t members) {
     quorum_size_.store(members, std::memory_order_relaxed);
   }
-  void on_latency_us(std::uint64_t micros);
-  void on_scrub_hold_us(std::uint64_t micros);
+  void on_latency_us(std::uint64_t micros) {
+    add(latency_buckets_[bucket_of(micros)]);
+  }
+  void on_scrub_hold_us(std::uint64_t micros) {
+    add(scrub_hold_buckets_[bucket_of(micros)]);
+  }
 
   std::size_t members() const { return member_activations_.size(); }
 
@@ -141,35 +176,27 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
  private:
-  static void add(std::atomic<std::uint64_t>& counter,
-                  std::uint64_t delta = 1) {
+  using Counter = std::atomic<std::uint64_t>;
+
+  static void add(Counter& counter, std::uint64_t delta = 1) {
     counter.fetch_add(delta, std::memory_order_relaxed);
   }
+  /// Index of the first bucket whose bound is >= micros.
+  static std::size_t bucket_of(std::uint64_t micros);
 
-  std::atomic<std::uint64_t> requests_submitted_{0};
-  std::atomic<std::uint64_t> requests_completed_{0};
-  std::atomic<std::uint64_t> requests_rejected_{0};
-  std::atomic<std::uint64_t> requests_shed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batch_size_sum_{0};
-  std::atomic<std::uint64_t> max_batch_size_{0};
-  std::atomic<std::uint64_t> reliable_{0};
-  std::atomic<std::uint64_t> unreliable_{0};
-  std::atomic<std::uint64_t> degraded_verdicts_{0};
-  std::atomic<std::uint64_t> scrub_cycles_{0};
-  std::atomic<std::uint64_t> replacements_started_{0};
-  std::atomic<std::uint64_t> replacements_completed_{0};
-  std::atomic<std::uint64_t> replacements_failed_{0};
-  std::atomic<std::uint64_t> quorum_size_{0};
-  std::vector<std::atomic<std::uint64_t>> member_activations_;
-  std::vector<std::atomic<std::uint64_t>> member_faults_;
-  std::vector<std::atomic<std::uint64_t>> quarantine_events_;
-  std::vector<std::atomic<std::uint64_t>> crc_mismatches_;
-  std::vector<std::atomic<std::uint64_t>> weight_reloads_;
-  std::array<std::atomic<std::uint64_t>, kLatencyBucketBounds.size()>
-      latency_buckets_{};
-  std::array<std::atomic<std::uint64_t>, kLatencyBucketBounds.size()>
-      scrub_hold_buckets_{};
+  // One atomic per table field, named after it with a trailing underscore.
+#define PGMR_SCALAR(name, merge) Counter name##_{0};
+#define PGMR_MEMBER(name) std::vector<Counter> name##_;
+#define PGMR_MEAN(count, total, mean) \
+  Counter count##_{0};                \
+  Counter total##_{0};
+#define PGMR_HISTOGRAM(name, quantile) \
+  std::array<Counter, kLatencyBucketBounds.size()> name##_{};
+  PGMR_METRICS(PGMR_SCALAR, PGMR_MEMBER, PGMR_MEAN, PGMR_HISTOGRAM)
+#undef PGMR_SCALAR
+#undef PGMR_MEMBER
+#undef PGMR_MEAN
+#undef PGMR_HISTOGRAM
 };
 
 }  // namespace pgmr::runtime

@@ -1,4 +1,4 @@
-// FGSM / BIM adversarial attack tests.
+// FGSM adversarial attack tests.
 #include "adv/fgsm.h"
 
 #include <gtest/gtest.h>
@@ -123,24 +123,6 @@ TEST(FgsmTest, ZeroEpsilonIsIdentityUpToClamp) {
   const Tensor adv = fgsm_attack(net, images, labels, 0.0F);
   EXPECT_TRUE(allclose(adv, images, 0.0F));
   EXPECT_THROW(fgsm_attack(net, images, labels, -0.1F),
-               std::invalid_argument);
-}
-
-TEST(FgsmTest, BimAtLeastAsStrongAsFgsm) {
-  Tensor images;
-  std::vector<std::int64_t> labels;
-  nn::Network net = trained_victim(images, labels);
-  const float eps = 0.12F;
-  const Tensor one_shot = fgsm_attack(net, images, labels, eps);
-  const Tensor iterated = bim_attack(net, images, labels, eps, 5);
-  const double fgsm_acc = accuracy_on(net, one_shot, labels);
-  const double bim_acc = accuracy_on(net, iterated, labels);
-  EXPECT_LE(bim_acc, fgsm_acc + 0.05);
-  // BIM respects the epsilon ball too.
-  for (std::int64_t i = 0; i < iterated.numel(); ++i) {
-    EXPECT_LE(std::fabs(iterated[i] - images[i]), eps + 1e-5F);
-  }
-  EXPECT_THROW(bim_attack(net, images, labels, eps, 0),
                std::invalid_argument);
 }
 

@@ -13,6 +13,10 @@ struct ConvCase {
   std::int64_t batch, in_c, out_c, hw, kernel, stride, pad;
 };
 
+// gtest prints a parameter into the test listing; the default byte dump
+// would carry the name's heap pointer and change on every run.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
+
 // Direct convolution: out[n,oc,y,x] = b[oc] + sum_{c,ky,kx} w * in.
 Tensor direct_conv(const Tensor& input, const Tensor& weight,
                    const Tensor& bias, const ConvCase& c) {
@@ -71,9 +75,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{"pointwise", 3, 5, 2, 6, 1, 1, 0},
                       ConvCase{"big_pad", 1, 1, 1, 5, 3, 1, 2},
                       ConvCase{"stride2_5x5", 1, 3, 2, 12, 5, 2, 2}),
-    [](const ::testing::TestParamInfo<ConvCase>& info) {
-      return info.param.name;
-    });
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace pgmr::nn

@@ -1,10 +1,8 @@
-// AvgPool2D / Sigmoid / Tanh semantics and gradient checks, plus the Adam
-// optimizer.
+// AvgPool2D / Sigmoid / Tanh semantics and gradient checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "nn/adam.h"
 #include "nn/extra_layers.h"
 #include "tensor/random.h"
 
@@ -96,50 +94,6 @@ TEST(ExtraLayerGradients, Tanh) {
 TEST(ExtraLayerGradients, AvgPool) {
   AvgPool2D layer(2);
   check_gradient(layer, Shape{1, 2, 4, 4});
-}
-
-TEST(AdamTest, MinimizesQuadratic) {
-  Tensor w(Shape{2}, {5.0F, -3.0F});
-  Tensor g(Shape{2});
-  Adam::Config cfg;
-  cfg.learning_rate = 0.05F;
-  Adam opt({&w}, {&g}, cfg);
-  for (int i = 0; i < 600; ++i) {
-    g[0] = 2.0F * (w[0] - 1.0F);
-    g[1] = 2.0F * (w[1] + 2.0F);
-    opt.step();
-  }
-  EXPECT_NEAR(w[0], 1.0F, 5e-2F);
-  EXPECT_NEAR(w[1], -2.0F, 5e-2F);
-}
-
-TEST(AdamTest, FirstStepIsLearningRateSized) {
-  // With bias correction, |first update| == lr regardless of grad scale.
-  Tensor w(Shape{1}, {0.0F});
-  Tensor g(Shape{1}, {100.0F});
-  Adam::Config cfg;
-  cfg.learning_rate = 0.1F;
-  Adam opt({&w}, {&g}, cfg);
-  opt.step();
-  EXPECT_NEAR(w[0], -0.1F, 1e-4F);
-}
-
-TEST(AdamTest, DecoupledWeightDecayShrinks) {
-  Tensor w(Shape{1}, {10.0F});
-  Tensor g(Shape{1}, {0.0F});
-  Adam::Config cfg;
-  cfg.learning_rate = 0.1F;
-  cfg.weight_decay = 0.5F;
-  Adam opt({&w}, {&g}, cfg);
-  opt.step();
-  EXPECT_LT(w[0], 10.0F);
-}
-
-TEST(AdamTest, RejectsMismatchedLists) {
-  Tensor w(Shape{2});
-  Tensor g(Shape{3});
-  EXPECT_THROW(Adam({&w}, {}, {}), std::invalid_argument);
-  EXPECT_THROW(Adam({&w}, {&g}, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -29,6 +29,10 @@ struct LayerCase {
   std::function<std::unique_ptr<Layer>(Rng&)> make;
 };
 
+// gtest prints a parameter into the test listing; the default byte dump
+// would carry the name's heap pointer and change on every run.
+void PrintTo(const LayerCase& c, std::ostream* os) { *os << c.name; }
+
 Tensor random_tensor(const Shape& s, Rng& rng, float lo = -1.0F,
                      float hi = 1.0F) {
   Tensor t(s);
@@ -205,9 +209,7 @@ INSTANTIATE_TEST_SUITE_P(
                     }
                     return std::make_unique<DenseBlock>(std::move(units), 3, 2);
                   }}),
-    [](const ::testing::TestParamInfo<LayerCase>& info) {
-      return info.param.name;
-    });
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace pgmr::nn

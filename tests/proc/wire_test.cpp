@@ -1,8 +1,8 @@
 // Wire-protocol properties (satellite of the process-isolation PR):
 //  * every message codec round-trips bit-exactly over a real socketpair;
 //  * malformed input — truncated frames, oversized lengths, corrupt CRCs,
-//    bad magic, short payloads — raises WireError, never crashes or reads
-//    out of bounds;
+//    bad magic, short payloads, trailing bytes, stats from a different
+//    metric table — raises WireError, never crashes or reads out of bounds;
 //  * deadlines cross the boundary as remaining-microsecond budgets;
 //  * the system spec round-trips a PolygraphSystem bit-identically, which
 //    is the property worker-restart determinism stands on.
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "nn/activations.h"
@@ -125,38 +126,51 @@ TEST(WireTest, HelloVerdictAndControlRoundTrip) {
   EXPECT_EQ(frame_type(encode_control(FrameType::bye)), FrameType::bye);
 }
 
-TEST(WireTest, StatsRoundTripPreservesEveryCounter) {
+/// Every metric-table field set to a distinct nonzero value, so a field
+/// the codec drops, swaps or misaligns cannot round-trip unnoticed.
+runtime::MetricsSnapshot distinct_snapshot() {
   runtime::MetricsSnapshot s;
-  s.requests_submitted = 100;
-  s.requests_completed = 98;
-  s.requests_shed = 2;
-  s.batches = 40;
-  s.batch_size_sum = 100;
-  s.max_batch_size = 8;
-  s.reliable = 90;
-  s.unreliable = 8;
-  s.quorum_size = 4;
-  s.member_activations = {5, 6, 7};
-  s.member_faults = {1, 0, 2};
-  s.quarantine_events = {0, 0, 1};
-  s.crc_mismatches = {0, 1, 0};
-  s.weight_reloads = {0, 1, 0};
-  s.latency_buckets[3] = 17;
-  s.scrub_hold_buckets[1] = 5;
+  std::uint64_t next = 1;
+  runtime::for_each_metric([&](const char*, auto field, runtime::Merge) {
+    auto& value = s.*field;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::uint64_t>) {
+      value = next++;
+    } else {
+      if constexpr (requires { value.resize(3); }) value.resize(3);
+      for (std::uint64_t& x : value) x = next++;
+    }
+  });
+  return s;
+}
 
-  const runtime::MetricsSnapshot r = decode_stats(encode_stats(s));
-  EXPECT_EQ(r.requests_submitted, 100U);
-  EXPECT_EQ(r.requests_completed, 98U);
-  EXPECT_EQ(r.requests_shed, 2U);
-  EXPECT_EQ(r.max_batch_size, 8U);
-  EXPECT_EQ(r.quorum_size, 4U);
-  EXPECT_EQ(r.member_activations, s.member_activations);
-  EXPECT_EQ(r.member_faults, s.member_faults);
-  EXPECT_EQ(r.quarantine_events, s.quarantine_events);
-  EXPECT_EQ(r.crc_mismatches, s.crc_mismatches);
-  EXPECT_EQ(r.weight_reloads, s.weight_reloads);
-  EXPECT_EQ(r.latency_buckets[3], 17U);
-  EXPECT_EQ(r.scrub_hold_buckets[1], 5U);
+TEST(WireTest, StatsRoundTripPreservesEveryCounter) {
+  const runtime::MetricsSnapshot s = distinct_snapshot();
+  EXPECT_EQ(decode_stats(encode_stats(s)), s);
+}
+
+TEST(WireTest, TrailingBytesAreRejected) {
+  SubmitMsg submit;
+  submit.image = random_image(3);
+  VerdictMsg verdict;
+  verdict.verdict.label = 2;
+  const auto with_tail = [](std::vector<std::uint8_t> payload) {
+    payload.push_back(0);
+    return payload;
+  };
+  EXPECT_THROW(decode_hello(with_tail(encode_hello({1, 3}))), WireError);
+  EXPECT_THROW(decode_submit(with_tail(encode_submit(submit))), WireError);
+  EXPECT_THROW(decode_verdict(with_tail(encode_verdict(verdict))), WireError);
+  EXPECT_THROW(decode_stats(with_tail(encode_stats(distinct_snapshot()))),
+               WireError);
+}
+
+TEST(WireTest, StatsFromADifferentMetricTableAreRejected) {
+  // Byte 0 is the frame type; bytes 1..4 carry the sender's scalar count.
+  // A worker whose table has one more scalar would send count + 1.
+  std::vector<std::uint8_t> payload = encode_stats(distinct_snapshot());
+  ++payload[1];
+  EXPECT_THROW(decode_stats(payload), WireError);
 }
 
 TEST(WireTest, TimeoutAndOrderlyEofAreStatusesNotErrors) {

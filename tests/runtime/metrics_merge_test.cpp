@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace pgmr::runtime {
@@ -81,6 +83,52 @@ TEST(MetricsMergeTest, CountersSumAcrossParts) {
   // The gauge sums: total members in service across the fleet.
   EXPECT_EQ(m.quorum_size, 7U);
   EXPECT_DOUBLE_EQ(m.mean_batch_size(), 4.5);
+}
+
+/// Every table field set to a distinct nonzero value counting up from
+/// `first`; per-member vectors are `members` wide.
+MetricsSnapshot distinct_snapshot(std::uint64_t first, std::size_t members) {
+  MetricsSnapshot s;
+  std::uint64_t next = first;
+  for_each_metric([&](const char*, auto field, Merge) {
+    auto& value = s.*field;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::uint64_t>) {
+      value = next++;
+    } else {
+      if constexpr (requires { value.resize(members); }) {
+        value.resize(members);
+      }
+      for (std::uint64_t& x : value) x = next++;
+    }
+  });
+  return s;
+}
+
+TEST(MetricsMergeTest, EveryFieldFollowsItsMergeRuleAndIsDumped) {
+  // Walks the metric table, so a field added to it is covered here with no
+  // edit to this test. The two parts differ in ensemble width.
+  const MetricsSnapshot a = distinct_snapshot(1, 2);
+  const MetricsSnapshot b = distinct_snapshot(1000, 3);
+  const MetricsSnapshot m = merge_snapshots({a, b});
+  const std::string text = m.to_string();
+  for_each_metric([&](const char* name, auto field, Merge rule) {
+    EXPECT_NE(text.find(name), std::string::npos) << name;
+    const auto& merged = m.*field;
+    const auto& x = a.*field;
+    const auto& y = b.*field;
+    if constexpr (std::is_same_v<std::decay_t<decltype(merged)>,
+                                 std::uint64_t>) {
+      EXPECT_EQ(merged, rule == Merge::max ? std::max(x, y) : x + y) << name;
+    } else {
+      ASSERT_EQ(merged.size(), std::max(x.size(), y.size())) << name;
+      for (std::size_t i = 0; i < merged.size(); ++i) {
+        const std::uint64_t xi = i < x.size() ? x[i] : 0;
+        const std::uint64_t yi = i < y.size() ? y[i] : 0;
+        EXPECT_EQ(merged[i], xi + yi) << name << "[" << i << "]";
+      }
+    }
+  });
 }
 
 TEST(MetricsMergeTest, MemberVectorsPadToTheWidestEnsemble) {

@@ -14,6 +14,10 @@ struct ModelCase {
   std::function<nn::Network(const InputSpec&, Rng&)> make;
 };
 
+// gtest prints a parameter into the test listing; the default byte dump
+// would carry the name's heap pointer and change on every run.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
 class ModelTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ModelTest, ForwardProducesLogitsPerClass) {
@@ -96,9 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{"densenet", InputSpec{3, 16, 10}, make_densenet},
         ModelCase{"alexnet", InputSpec{3, 24, 20}, make_alexnet},
         ModelCase{"resnet34", InputSpec{3, 24, 20}, make_resnet34}),
-    [](const ::testing::TestParamInfo<ModelCase>& info) {
-      return info.param.name;
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(ModelDepthTest, ResNet34IsDeeperThanResNet20Lite) {
   Rng rng(9);
