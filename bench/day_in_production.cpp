@@ -399,7 +399,7 @@ int main(int argc, char** argv) {
                       : snap.shard_restarts[victim_shard]),
               static_cast<unsigned long long>(snap.probes));
   std::printf("verdicts differing from reference:  %lld of %lld served\n",
-              mismatched, tracker.served());
+              mismatched, static_cast<long long>(tracker.served()));
 
   pgmr::bench::rule("SLO gates");
   std::printf("  (availability floor %.3f = (N-1)/N; recovery budget %lld = "

@@ -9,7 +9,6 @@
 #include "bench_util.h"
 #include "calib/mc_dropout.h"
 #include "mr/pareto.h"
-#include "perf/cost_model.h"
 
 int main() {
   using namespace pgmr;
@@ -58,10 +57,6 @@ int main() {
   const mr::Outcome sm_outcome =
       mr::evaluate_single(zoo::probabilities_on(net, splits.test),
                           splits.test.labels, sm_point->thresholds.conf);
-
-  const perf::CostModel model;
-  const Shape input{1, bm.input.channels, bm.input.size, bm.input.size};
-  const double unit = model.network_cost(net.cost(input), 32).energy_j;
 
   bench::rule("Extension: MC-dropout vs PolygraphMR (AlexNet tier)");
   std::printf("%-24s %10s %10s %13s %12s\n", "method", "test TP", "test FP",

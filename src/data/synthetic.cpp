@@ -127,14 +127,24 @@ void apply_occlusion(const SyntheticSpec& spec, Rng& rng, float* pixels) {
 }  // namespace
 
 Dataset generate_synthetic(const SyntheticSpec& spec) {
+  return std::move(generate_synthetic_parts(spec, {spec.count})[0]);
+}
+
+std::vector<Dataset> generate_synthetic_parts(
+    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes) {
+  std::int64_t total = 0;
+  bool negative = false;
+  for (const std::int64_t n : sizes) {
+    negative |= n < 0;
+    total += n;
+  }
   if (spec.count <= 0 || spec.num_classes <= 1 || spec.size < 8 ||
-      (spec.channels != 1 && spec.channels != 3)) {
+      (spec.channels != 1 && spec.channels != 3) || negative ||
+      total > spec.count) {
     throw std::invalid_argument("generate_synthetic: invalid spec");
   }
   Rng rng(spec.seed);
   const std::int64_t per_sample = spec.channels * spec.size * spec.size;
-  std::vector<float> data(
-      static_cast<std::size_t>(spec.count * per_sample), 0.0F);
   std::vector<std::int64_t> labels(static_cast<std::size_t>(spec.count));
 
   // Balanced labels in shuffled order so any prefix slice stays balanced.
@@ -143,43 +153,51 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
   }
   rng.shuffle(labels);
 
-  for (std::int64_t i = 0; i < spec.count; ++i) {
-    float* pixels = data.data() + i * per_sample;
-    const std::int64_t cls = labels[static_cast<std::size_t>(i)];
-    const InstanceParams primary =
-        perturb(signature_for(cls, spec.num_classes), spec, rng);
+  // Each part is rendered straight into its own buffer, so no full-corpus
+  // copy is ever held next to the parts.
+  std::vector<Dataset> parts;
+  std::int64_t i = 0;
+  for (const std::int64_t n : sizes) {
+    std::vector<float> data(static_cast<std::size_t>(n * per_sample), 0.0F);
+    for (std::int64_t at = 0; at < n; ++at, ++i) {
+      float* pixels = data.data() + at * per_sample;
+      const std::int64_t cls = labels[static_cast<std::size_t>(i)];
+      const InstanceParams primary =
+          perturb(signature_for(cls, spec.num_classes), spec, rng);
 
-    const bool second = rng.bernoulli(spec.second_object_prob);
-    if (second) {
-      // Blend a distractor from a different class; the label remains the
-      // primary object's class, as in the paper's seashore/mountain example.
-      std::int64_t other = rng.randint(0, spec.num_classes - 2);
-      if (other >= cls) ++other;
-      const InstanceParams distractor =
-          perturb(signature_for(other, spec.num_classes), spec, rng);
-      render_instance(primary, spec, 0.60F, pixels);
-      render_instance(distractor, spec, 0.40F, pixels);
-    } else {
-      render_instance(primary, spec, 1.0F, pixels);
-    }
+      const bool second = rng.bernoulli(spec.second_object_prob);
+      if (second) {
+        // Blend a distractor from a different class; the label remains the
+        // primary object's class, as in the paper's seashore/mountain
+        // example.
+        std::int64_t other = rng.randint(0, spec.num_classes - 2);
+        if (other >= cls) ++other;
+        const InstanceParams distractor =
+            perturb(signature_for(other, spec.num_classes), spec, rng);
+        render_instance(primary, spec, 0.60F, pixels);
+        render_instance(distractor, spec, 0.40F, pixels);
+      } else {
+        render_instance(primary, spec, 1.0F, pixels);
+      }
 
-    if (rng.bernoulli(spec.occlusion_prob)) {
-      apply_occlusion(spec, rng, pixels);
-    }
+      if (rng.bernoulli(spec.occlusion_prob)) {
+        apply_occlusion(spec, rng, pixels);
+      }
 
-    for (std::int64_t j = 0; j < per_sample; ++j) {
-      float v = pixels[j] + rng.normal(0.0F, spec.noise_std);
-      pixels[j] = std::min(1.0F, std::max(0.0F, v));
+      for (std::int64_t j = 0; j < per_sample; ++j) {
+        float v = pixels[j] + rng.normal(0.0F, spec.noise_std);
+        pixels[j] = std::min(1.0F, std::max(0.0F, v));
+      }
     }
+    Dataset part;
+    part.name = spec.name;
+    part.num_classes = spec.num_classes;
+    part.labels.assign(labels.begin() + (i - n), labels.begin() + i);
+    part.images = Tensor(Shape{n, spec.channels, spec.size, spec.size},
+                         std::move(data));
+    parts.push_back(std::move(part));
   }
-
-  Dataset out;
-  out.name = spec.name;
-  out.num_classes = spec.num_classes;
-  out.labels = std::move(labels);
-  out.images = Tensor(Shape{spec.count, spec.channels, spec.size, spec.size},
-                      std::move(data));
-  return out;
+  return parts;
 }
 
 SyntheticSpec smnist_spec(std::int64_t count, std::uint64_t seed) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 
@@ -42,6 +43,12 @@ struct SyntheticSpec {
 
 /// Generates a corpus from `spec`. Labels are balanced round-robin.
 Dataset generate_synthetic(const SyntheticSpec& spec);
+
+/// The corpus generate_synthetic(spec) would return, cut into consecutive
+/// parts of the given sizes (their sum may be below spec.count), each part
+/// rendered into its own buffer. Bit-identical to slicing the full corpus.
+std::vector<Dataset> generate_synthetic_parts(
+    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes);
 
 /// The three benchmark tiers standing in for the paper's datasets.
 /// `count` covers train+val+test; see zoo for the canonical split sizes.

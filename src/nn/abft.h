@@ -94,8 +94,8 @@ void abft_verify_cols(const float* b, const float* c, std::int64_t m,
 
 /// Batched folded conv→BN verification: `bn_out` is the BatchNorm output
 /// [N, out_c, H, W] and `cols` holds the convolution's im2col buffers
-/// batch-major ([N, patch, H*W], from Conv2D::forward_save_cols). `golden`
-/// must be a folded checksum (Conv2D::abft_checksum_folded).
+/// batch-major ([N, patch, H*W], as Conv2D::forward_folded keeps them).
+/// `golden` must be a folded checksum (Conv2D::abft_checksum_folded).
 void abft_verify_folded(const std::vector<float>& cols, const Tensor& bn_out,
                         const AbftChecksum& golden, AbftLayerCheck* check);
 

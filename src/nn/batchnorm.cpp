@@ -58,28 +58,24 @@ std::int64_t BatchNorm::group_size(const Shape& s) const {
 
 Tensor BatchNorm::forward(const Tensor& input, bool train) {
   const Shape& s = output_shape(input.shape());
+  if (!train) return forward_inference(input);
   const std::int64_t group = group_size(s);
   Tensor mean(Shape{channels_});
   Tensor var(Shape{channels_});
 
-  if (train) {
-    for_each_channel_element(
-        s, channels_, [&](std::int64_t c, std::int64_t i) { mean[c] += input[i]; });
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      mean[c] /= static_cast<float>(group);
-    }
-    for_each_channel_element(s, channels_, [&](std::int64_t c, std::int64_t i) {
-      const float d = input[i] - mean[c];
-      var[c] += d * d;
-    });
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      var[c] /= static_cast<float>(group);
-      running_mean_[c] = (1.0F - momentum_) * running_mean_[c] + momentum_ * mean[c];
-      running_var_[c] = (1.0F - momentum_) * running_var_[c] + momentum_ * var[c];
-    }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
+  for_each_channel_element(
+      s, channels_, [&](std::int64_t c, std::int64_t i) { mean[c] += input[i]; });
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    mean[c] /= static_cast<float>(group);
+  }
+  for_each_channel_element(s, channels_, [&](std::int64_t c, std::int64_t i) {
+    const float d = input[i] - mean[c];
+    var[c] += d * d;
+  });
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    var[c] /= static_cast<float>(group);
+    running_mean_[c] = (1.0F - momentum_) * running_mean_[c] + momentum_ * mean[c];
+    running_var_[c] = (1.0F - momentum_) * running_var_[c] + momentum_ * var[c];
   }
 
   Tensor std_dev(Shape{channels_});
@@ -94,10 +90,31 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
     out[i] = gamma_[c] * xhat[i] + beta_[c];
   });
 
-  if (train) {
-    cached_xhat_ = std::move(xhat);
-    cached_std_ = std::move(std_dev);
-    cached_in_shape_ = s;
+  cached_xhat_ = std::move(xhat);
+  cached_std_ = std::move(std_dev);
+  cached_in_shape_ = s;
+  return out;
+}
+
+Tensor BatchNorm::forward_inference(const Tensor& input) const {
+  // The training path's arithmetic, (x - mean) / std then gamma * . + beta,
+  // on the running statistics, written straight into the output.
+  const Shape& s = input.shape();
+  const std::int64_t spatial = s.rank() == 4 ? s[2] * s[3] : 1;
+  Tensor out(s);
+  const float* x = input.data();
+  float* y = out.data();
+  for (std::int64_t n = 0; n < s[0]; ++n) {
+    for (std::int64_t c = 0; c < channels_; ++c) {
+      const float mean = running_mean_[c];
+      const float std_dev = std::sqrt(running_var_[c] + eps_);
+      const float gamma = gamma_[c];
+      const float beta = beta_[c];
+      const std::int64_t base = (n * channels_ + c) * spatial;
+      for (std::int64_t i = base; i < base + spatial; ++i) {
+        y[i] = gamma * ((x[i] - mean) / std_dev) + beta;
+      }
+    }
   }
   return out;
 }

@@ -45,6 +45,9 @@ class BatchNorm final : public Layer {
  private:
   /// Number of elements normalized together per channel for shape `s`.
   std::int64_t group_size(const Shape& s) const;
+  /// forward(x, train=false): normalizes with the running statistics and
+  /// keeps no backward cache.
+  Tensor forward_inference(const Tensor& input) const;
 
   std::int64_t channels_;
   float momentum_, eps_;

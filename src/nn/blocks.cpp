@@ -146,10 +146,7 @@ Tensor Sequential::forward_abft(const Tensor& input, const AbftChecksum& golden,
     if (g != nullptr && g->form == AbftForm::folded &&
         foldable_conv_bn(layers_, i)) {
       auto* conv = static_cast<Conv2D*>(layers_[i].get());
-      std::vector<float> cols;
-      Tensor conv_out = conv->forward_save_cols(x, &cols);
-      x = layers_[i + 1]->forward(conv_out, /*train=*/false);
-      abft_verify_folded(cols, x, *g, check);
+      x = conv->forward_folded(x, *layers_[i + 1], *g, check);
       ++i;
       continue;
     }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "nn/forward_engine.h"
 #include "nn/gemm.h"
 #include "nn/init.h"
 
@@ -97,9 +98,19 @@ AbftChecksum Conv2D::abft_checksum_folded(const Tensor& scale,
   return golden;
 }
 
-Tensor Conv2D::forward_save_cols(const Tensor& input,
-                                 std::vector<float>* cols) {
-  return forward_impl(input, false, nullptr, nullptr, cols);
+Tensor Conv2D::forward_folded(const Tensor& input, Layer& bn,
+                              const AbftChecksum& golden,
+                              AbftLayerCheck* check) {
+  // The batch's column matrices, [N, patch, out_h*out_w]. The buffer is
+  // reused across calls, since its contents are rewritten, not zeroed; one
+  // grown past a serving batch by an offline pass is released afterwards.
+  constexpr std::size_t kRetainedFloats = std::size_t{1} << 18;
+  thread_local std::vector<float> cols;
+  const Tensor conv_out = forward_impl(input, false, nullptr, nullptr, &cols);
+  Tensor out = bn.forward(conv_out, /*train=*/false);
+  abft_verify_folded(cols, out, golden, check);
+  if (cols.capacity() > kRetainedFloats) std::vector<float>().swap(cols);
+  return out;
 }
 
 Tensor Conv2D::forward_impl(const Tensor& input, bool train,
@@ -111,42 +122,40 @@ Tensor Conv2D::forward_impl(const Tensor& input, bool train,
   const std::int64_t ow = geo.out_w();
   const std::int64_t spatial = oh * ow;
   const std::int64_t patch = geo.patch_size();
+  const std::int64_t col_size = patch * spatial;
 
   Tensor out(Shape{batch, out_c_, oh, ow});
-  std::vector<float> col(static_cast<std::size_t>(patch * spatial));
-
-  if (train) {
-    cached_in_shape_ = input.shape();
-    cached_cols_.assign(static_cast<std::size_t>(batch * patch * spatial), 0.0F);
+  // Where each sample's column matrix lives: in the training cache or the
+  // caller's save buffer when they keep it, else in a per-thread scratch
+  // buffer reused across calls. A 1x1, stride-1, unpadded conv's column
+  // matrix is the image itself and needs no buffer at all.
+  std::vector<float>* keep = train ? &cached_cols_ : save_cols;
+  thread_local std::vector<float> scratch;
+  if (train) cached_in_shape_ = input.shape();
+  if (keep != nullptr) {
+    keep->resize(static_cast<std::size_t>(batch * col_size));
+  } else if (scratch.size() < static_cast<std::size_t>(col_size)) {
+    scratch.resize(static_cast<std::size_t>(col_size));
   }
-  if (save_cols != nullptr) {
-    save_cols->resize(static_cast<std::size_t>(batch * patch * spatial));
-  }
+  const bool identity = kernel_ == 1 && stride_ == 1 && pad_ == 0;
 
   const std::int64_t in_per_sample = in_c_ * geo.in_h * geo.in_w;
   for (std::int64_t n = 0; n < batch; ++n) {
-    im2col(input.data() + n * in_per_sample, geo, col.data());
+    const float* image = input.data() + n * in_per_sample;
+    const float* col = image;
+    if (keep != nullptr || !identity) {
+      float* buf =
+          keep != nullptr ? keep->data() + n * col_size : scratch.data();
+      im2col_fast(image, geo, buf);
+      col = buf;
+    }
+    // out[oc, y*x] = bias[oc] + W[oc, patch] * col[patch, y*x]
     float* dst = out.data() + n * out_c_ * spatial;
-    // out[oc, y*x] = W[oc, patch] * col[patch, y*x] + bias
-    for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-      float* row = dst + oc * spatial;
-      const float b = bias_[oc];
-      for (std::int64_t s = 0; s < spatial; ++s) row[s] = b;
-    }
-    gemm_accumulate(weight_.data(), col.data(), dst, out_c_, patch, spatial);
+    gemm_bias(weight_.data(), bias_.data(), col, dst, out_c_, patch, spatial);
     if (golden) {
-      // Verify against the live im2col buffer; re-running im2col for the
-      // check would double the layer's memory traffic.
-      abft_verify_cols(col.data(), dst, out_c_, patch, spatial, *golden,
-                       check);
-    }
-    if (train) {
-      std::copy(col.begin(), col.end(),
-                cached_cols_.begin() + n * patch * spatial);
-    }
-    if (save_cols != nullptr) {
-      std::copy(col.begin(), col.end(),
-                save_cols->begin() + n * patch * spatial);
+      // Verify against the very column matrix the GEMM consumed; re-running
+      // im2col for the check would double the layer's memory traffic.
+      abft_verify_cols(col, dst, out_c_, patch, spatial, *golden, check);
     }
   }
   return out;

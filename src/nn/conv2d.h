@@ -39,11 +39,13 @@ class Conv2D final : public Layer {
   AbftChecksum abft_checksum_folded(const Tensor& scale,
                                     const Tensor& shift) const;
 
-  /// Plain eval forward that also stashes the per-sample im2col buffers
-  /// batch-major into `cols` ([N, patch, out_h*out_w]); the folded conv→BN
-  /// check verifies against them after the downstream BatchNorm runs.
-  /// Output is bit-identical to forward(input, false).
-  Tensor forward_save_cols(const Tensor& input, std::vector<float>* cols);
+  /// Eval forward of this conv followed by `bn` (its downstream
+  /// BatchNorm), verified as one folded identity (`golden` from
+  /// abft_checksum_folded) on bn's output against the column matrices the
+  /// conv's GEMM consumed. Returns bn's output, bit-identical to
+  /// bn.forward(forward(input, false), false).
+  Tensor forward_folded(const Tensor& input, Layer& bn,
+                        const AbftChecksum& golden, AbftLayerCheck* check);
 
   void save(BinaryWriter& w) const override;
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "nn/forward_engine.h"
 #include "nn/gemm.h"
 #include "nn/init.h"
 
@@ -35,11 +36,9 @@ Tensor Dense::forward(const Tensor& input, bool train) {
   const Shape out_shape = output_shape(input.shape());
   const std::int64_t batch = input.shape()[0];
   Tensor out(out_shape);
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t f = 0; f < out_f_; ++f) out.at(n, f) = bias_[f];
-  }
-  // out[N, out_f] += x[N, in_f] * W^T where W is [out_f, in_f]
-  gemm_a_bt(input.data(), weight_.data(), out.data(), batch, in_f_, out_f_);
+  // out[N, out_f] = bias + x[N, in_f] * W^T where W is [out_f, in_f]
+  gemm_a_bt_bias(input.data(), weight_.data(), bias_.data(), out.data(), batch,
+                 in_f_, out_f_);
   if (train) cached_input_ = input;
   return out;
 }

@@ -328,6 +328,12 @@ FrameType frame_type(const std::vector<std::uint8_t>& payload) {
       t > static_cast<std::uint8_t>(FrameType::bye)) {
     throw WireError("wire: unknown frame type " + std::to_string(t));
   }
+  // Control frames have no decoder of their own, so their length is
+  // checked here: the supervisor and worker act on the type byte alone.
+  if (t >= static_cast<std::uint8_t>(FrameType::ping) && payload.size() != 1) {
+    throw WireError("wire: control frame " + std::to_string(t) +
+                    " with trailing bytes");
+  }
   return static_cast<FrameType>(t);
 }
 

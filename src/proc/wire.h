@@ -160,7 +160,8 @@ runtime::MetricsSnapshot decode_stats(
 std::vector<std::uint8_t> encode_control(FrameType type);
 
 /// FrameType of an already-decoded payload (its first byte). Throws
-/// WireError on an empty payload or an unknown type value.
+/// WireError on an empty payload, an unknown type value, or a control
+/// frame (ping/pong/shutdown/bye) with bytes after its type byte.
 FrameType frame_type(const std::vector<std::uint8_t>& payload);
 
 // ---- frame I/O -----------------------------------------------------------

@@ -159,10 +159,7 @@ Tensor QuantizedNetwork::forward(const Tensor& input, AbftCheck* abft) {
       // BatchNorm output (only emitted at kFullBits, where skipping the
       // inter-layer truncation is the identity).
       auto* conv = static_cast<nn::Conv2D*>(layers[l].get());
-      std::vector<float> cols;
-      Tensor conv_out = conv->forward_save_cols(x, &cols);
-      x = layers[l + 1]->forward(conv_out, /*train=*/false);
-      nn::abft_verify_folded(cols, x, layer_golden_[l], &check);
+      x = conv->forward_folded(x, *layers[l + 1], layer_golden_[l], &check);
       if (check.checked) {
         abft->checked = true;
         ++abft->layers_checked;

@@ -113,10 +113,13 @@ data::DatasetSplits benchmark_splits(const Benchmark& bm) {
     throw std::invalid_argument("benchmark_splits: unknown dataset " +
                                 bm.dataset_id);
   }
-  const data::Dataset full = data::generate_synthetic(spec);
   const std::int64_t test_n = 1000;
   const std::int64_t val_n = 1000;
-  return data::split_dataset(full, full.size() - val_n - test_n, val_n, test_n);
+  // Generated straight into the three splits: a full corpus plus its split
+  // copies would double the memory held while loading.
+  std::vector<data::Dataset> parts = data::generate_synthetic_parts(
+      spec, {spec.count - val_n - test_n, val_n, test_n});
+  return {std::move(parts[0]), std::move(parts[1]), std::move(parts[2])};
 }
 
 std::string cache_dir() {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace pgmr::data {
 namespace {
@@ -144,6 +146,30 @@ TEST(SyntheticTest, InvalidSpecsRejected) {
   s = tiny_spec();
   s.size = 4;
   EXPECT_THROW(generate_synthetic(s), std::invalid_argument);
+}
+
+TEST(SyntheticTest, PartsAreSlicesOfTheFullCorpus) {
+  const SyntheticSpec s = tiny_spec();
+  const Dataset full = generate_synthetic(s);
+  const std::vector<std::int64_t> sizes = {s.count / 2, s.count / 4, 3};
+  const std::vector<Dataset> parts = generate_synthetic_parts(s, sizes);
+  ASSERT_EQ(parts.size(), sizes.size());
+  std::int64_t begin = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const Dataset want = full.slice(begin, begin + sizes[p]);
+    ASSERT_EQ(parts[p].images.shape(), want.images.shape());
+    EXPECT_EQ(parts[p].labels, want.labels);
+    EXPECT_EQ(std::memcmp(parts[p].images.data(), want.images.data(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(want.images.numel())),
+              0)
+        << "part " << p;
+    EXPECT_EQ(parts[p].num_classes, full.num_classes);
+    begin += sizes[p];
+  }
+  EXPECT_THROW(generate_synthetic_parts(s, {s.count, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(generate_synthetic_parts(s, {-1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "tensor/random.h"
@@ -91,6 +93,30 @@ TEST(GemmTest, AccumulatesOntoExistingValues) {
   std::vector<float> c = {10.0F};                 // [1,1]
   gemm_accumulate(a.data(), b.data(), c.data(), 1, 2, 1);
   EXPECT_FLOAT_EQ(c[0], 10.0F + 11.0F);
+}
+
+TEST(GemmTest, ZeroWeightTermsAreSkipped) {
+  // gemm_accumulate never adds a term whose A element is zero: a NaN or
+  // inf in B behind a zero weight does not reach C, and a -0.0 in C keeps
+  // its sign (adding +0.0 * b would turn it into +0.0). The fast conv GEMM
+  // (gemm_bias) reproduces this; the non-finite detector and the MR vote
+  // see the same outputs under activation corruption either way.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> a = {0.0F, -0.0F,   // row 0: zero weights only
+                                1.0F, 0.0F};   // row 1: one live weight
+  const std::vector<float> b = {nan, inf, -inf,   // [2,3]
+                                1.0F, nan, 2.0F};
+  std::vector<float> c = {-0.0F, -0.0F, 5.0F,
+                          -0.0F, 1.0F, 1.0F};
+  gemm_accumulate(a.data(), b.data(), c.data(), 2, 2, 3);
+  EXPECT_TRUE(std::signbit(c[0]) && c[0] == 0.0F);
+  EXPECT_TRUE(std::signbit(c[1]) && c[1] == 0.0F);
+  EXPECT_EQ(c[2], 5.0F);
+  // Row 1 takes only column p = 0 of B: NaN, inf and -inf reach C.
+  EXPECT_TRUE(std::isnan(c[3]));
+  EXPECT_EQ(c[4], inf);
+  EXPECT_EQ(c[5], -inf);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmTest,

@@ -1,6 +1,8 @@
 // Forward-semantics unit tests for individual layers.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -182,6 +184,30 @@ TEST(BatchNormTest, InferenceUsesRunningStats) {
   double mean = 0.0;
   for (std::int64_t i = 0; i < 8; ++i) mean += y[i];
   EXPECT_NEAR(mean / 8.0, 0.0, 0.1);
+}
+
+TEST(BatchNormTest, InferenceIsBitIdenticalToTrainingArithmetic) {
+  // With momentum 1 one training pass leaves the running statistics equal
+  // to the batch statistics, so inference on the same batch must repeat
+  // the training path's (x - mean) / std, gamma * . + beta exactly.
+  Rng rng(13);
+  for (const Shape& shape : {Shape{3, 5, 4, 6}, Shape{7, 5}}) {
+    BatchNorm bn(5, /*momentum=*/1.0F);
+    for (Tensor* p : bn.params()) {
+      for (std::int64_t c = 0; c < 5; ++c) (*p)[c] = rng.uniform(-2.0F, 2.0F);
+    }
+    Tensor x(shape);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = rng.normal(0.5F, 3.0F);
+    }
+    const Tensor trained = bn.forward(x, true);
+    const Tensor inferred = bn.forward(x, false);
+    ASSERT_EQ(inferred.shape(), shape);
+    EXPECT_EQ(std::memcmp(inferred.data(), trained.data(),
+                          sizeof(float) * static_cast<std::size_t>(x.numel())),
+              0)
+        << shape.to_string();
+  }
 }
 
 TEST(BatchNormTest, RejectsWrongChannels) {

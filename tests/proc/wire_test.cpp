@@ -165,6 +165,17 @@ TEST(WireTest, TrailingBytesAreRejected) {
                WireError);
 }
 
+TEST(WireTest, ControlFramesWithTrailingBytesAreRejected) {
+  for (const FrameType type : {FrameType::ping, FrameType::pong,
+                               FrameType::shutdown, FrameType::bye}) {
+    std::vector<std::uint8_t> payload = encode_control(type);
+    EXPECT_EQ(frame_type(payload), type);
+    payload.push_back(0xff);
+    EXPECT_THROW(frame_type(payload), WireError)
+        << "type " << static_cast<int>(type);
+  }
+}
+
 TEST(WireTest, StatsFromADifferentMetricTableAreRejected) {
   // Byte 0 is the frame type; bytes 1..4 carry the sender's scalar count.
   // A worker whose table has one more scalar would send count + 1.

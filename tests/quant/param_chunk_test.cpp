@@ -91,7 +91,9 @@ TEST(ParamChunkTest, CorruptionIsLocalizedToItsChunk) {
   EXPECT_EQ(qn.first_corrupt_param(), static_cast<int>(target));
   // Other tensors are untouched.
   for (std::size_t i = 0; i < qn.param_count(); ++i) {
-    if (i != target) EXPECT_TRUE(qn.param_intact(i)) << "param " << i;
+    if (i != target) {
+      EXPECT_TRUE(qn.param_intact(i)) << "param " << i;
+    }
   }
 }
 
