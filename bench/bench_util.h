@@ -1,6 +1,8 @@
 // Shared helpers for the figure/table benches.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -44,6 +46,18 @@ inline void rule(const char* title) {
   std::printf("\n==== %s ====\n", title);
 }
 
+/// CPU seconds (user + system) this process has used so far. Children,
+/// such as fork/exec'd shard workers, are not counted.
+inline double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto secs = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return secs(usage.ru_utime) + secs(usage.ru_stime);
+}
+
 /// One measured step of a closed-loop load: K clients, each holding exactly
 /// one request in flight (submit, wait for the verdict, classify, repeat).
 /// Unlike the open-loop flood, throughput here is self-clocked by service
@@ -54,9 +68,16 @@ struct ClosedLoopResult {
   long long errors = 0;  ///< submissions or futures that threw
   std::int64_t tp = 0, fp = 0, unreliable = 0;
   double seconds = 0.0;
+  double cpu_seconds = 0.0;  ///< process_cpu_seconds() spent in the step
 
   double rps() const {
     return seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0;
+  }
+  /// Cores in use on average: speedup = (work per CPU-second) x cores.
+  double cores() const { return seconds > 0.0 ? cpu_seconds / seconds : 0.0; }
+  double cpu_us_per_request() const {
+    return requests > 0 ? 1e6 * cpu_seconds / static_cast<double>(requests)
+                        : 0.0;
   }
   double fp_rate() const {
     const std::int64_t reliable = tp + fp;
@@ -81,6 +102,7 @@ ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
   std::atomic<std::int64_t> tp{0};
   std::atomic<std::int64_t> fp{0};
   std::atomic<std::int64_t> unreliable{0};
+  const double cpu0 = process_cpu_seconds();
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::vector<std::jthread> workers;
@@ -108,6 +130,7 @@ ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
   res.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  res.cpu_seconds = process_cpu_seconds() - cpu0;
   res.errors = errors.load();
   res.tp = tp.load();
   res.fp = fp.load();

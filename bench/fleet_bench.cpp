@@ -7,7 +7,11 @@
 // efficiency is what the ramp climbs), then drives the N-shard fleet at
 // N * K* clients so every shard serves knee-level load. Both serve the
 // same request stream, and their verdict tallies must be identical —
-// sharding never changes a verdict — with no submission lost.
+// sharding never changes a verdict — with no submission lost. Every step
+// also prints this process's CPU-seconds (getrusage), the cores in use and
+// the CPU µs per request, so the speedup splits into per-CPU-second
+// efficiency x cores; with --isolation process the workers' CPU is not
+// counted, and those lines say so.
 //
 // Campaign mode (--campaign 1) adds the acceptance gates:
 //
@@ -84,10 +88,25 @@ fleet::FleetRouter make_fleet(
       opts);
 }
 
-void print_step(const bench::ClosedLoopResult& s) {
-  std::printf("%-8zu %10.1f %6lld %6lld %6lld %7lld\n", s.clients, s.rps(),
-              static_cast<long long>(s.tp), static_cast<long long>(s.fp),
-              static_cast<long long>(s.unreliable), s.errors);
+void print_header() {
+  std::printf("%-8s %10s %6s %6s %6s %7s %7s %6s %10s\n", "clients", "req/s",
+              "TP", "FP", "unrel", "errors", "cpu-s", "cores", "cpu-us/req");
+}
+
+/// The CPU figures are this process's getrusage: with process isolation
+/// they leave out the shard workers' CPU, and every line that prints them
+/// says so.
+const char* cpu_note(fleet::Isolation isolation) {
+  return isolation == fleet::Isolation::process ? "  (worker CPU not counted)"
+                                                : "";
+}
+
+void print_step(const bench::ClosedLoopResult& s, fleet::Isolation isolation) {
+  std::printf("%-8zu %10.1f %6lld %6lld %6lld %7lld %7.2f %6.2f %10.1f%s\n",
+              s.clients, s.rps(), static_cast<long long>(s.tp),
+              static_cast<long long>(s.fp),
+              static_cast<long long>(s.unreliable), s.errors, s.cpu_seconds,
+              s.cores(), s.cpu_us_per_request(), cpu_note(isolation));
 }
 
 /// One closed-loop measurement of `fleet` at `clients` concurrency over
@@ -298,8 +317,7 @@ int main(int argc, char** argv) {
 
   std::printf("isolation: %s\n", fleet::to_string(isolation));
   pgmr::bench::rule("single replica, closed-loop ramp to the knee");
-  std::printf("%-8s %10s %6s %6s %6s %7s\n", "clients", "req/s", "TP", "FP",
-              "unrel", "errors");
+  print_header();
   fleet::FleetRouter single = make_fleet(bm, 1, isolation);
   const auto single_steps = bench::closed_loop_ramp(
       max_clients, requests,
@@ -310,7 +328,9 @@ int main(int argc, char** argv) {
       [&](long long i) {
         return test.labels[static_cast<std::size_t>(i % pool_n)];
       });
-  for (const bench::ClosedLoopResult& s : single_steps) print_step(s);
+  for (const bench::ClosedLoopResult& s : single_steps) {
+    print_step(s, isolation);
+  }
   const bench::ClosedLoopResult& knee = bench::ramp_best(single_steps);
   single.shutdown();
   std::printf("per-shard knee: %zu clients @ %.1f req/s\n", knee.clients,
@@ -323,12 +343,11 @@ int main(int argc, char** argv) {
                 "%zu-shard fleet @ %zu clients (knee x shards)", shards,
                 knee.clients * shards);
   pgmr::bench::rule(title);
-  std::printf("%-8s %10s %6s %6s %6s %7s\n", "clients", "req/s", "TP", "FP",
-              "unrel", "errors");
+  print_header();
   fleet::FleetRouter fleet = make_fleet(bm, shards, isolation);
   const bench::ClosedLoopResult fleet_step =
       measure(fleet, test, knee.clients * shards, requests);
-  print_step(fleet_step);
+  print_step(fleet_step, isolation);
   fleet.shutdown();
 
   bool identical = tally_identical(fleet_step, knee);
@@ -340,6 +359,13 @@ int main(int argc, char** argv) {
   std::printf("\nfleet %.1f req/s vs single %.1f req/s at the knee: "
               "speedup %.2fx\n",
               fleet_step.rps(), knee.rps(), speedup);
+  // speedup = (req per CPU-second, fleet / single) x (cores, fleet / single)
+  if (knee.cpu_seconds > 0.0 && fleet_step.cpu_seconds > 0.0) {
+    std::printf("decomposition: per-CPU-second efficiency %.2fx x cores "
+                "%.2f/%.2f%s\n",
+                knee.cpu_us_per_request() / fleet_step.cpu_us_per_request(),
+                fleet_step.cores(), knee.cores(), cpu_note(isolation));
+  }
   std::printf("verdict tallies identical across every step: %s\n",
               identical ? "yes" : "NO");
   ok = ok && identical;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace pgmr::nn {
@@ -143,12 +144,51 @@ void abft_guard_finite(const float* y, std::int64_t n, AbftLayerCheck* check) {
 }
 
 void abft_minmax(const float* x, std::int64_t n, float* lo, float* hi) {
-  *lo = std::numeric_limits<float>::infinity();
-  *hi = -std::numeric_limits<float>::infinity();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (x[i] < *lo) *lo = x[i];
-    if (x[i] > *hi) *hi = x[i];
+  // The running min/max live in one vector register each, not behind the
+  // out-pointers (which may alias x as far as the compiler knows); they are
+  // folded and stored once. `v < lo ? v : lo` is exactly the serial
+  // compare per lane, so a NaN fails both compares and is skipped.
+#if defined(__AVX512F__)
+  constexpr std::int64_t kLanes = 16;
+#elif defined(__AVX__)
+  constexpr std::int64_t kLanes = 8;
+#else
+  constexpr std::int64_t kLanes = 4;
+#endif
+  using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Lanes lane_lo;
+  Lanes lane_hi;
+  for (std::int64_t j = 0; j < kLanes; ++j) {
+    lane_lo[j] = kInf;
+    lane_hi[j] = -kInf;
   }
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Lanes v;
+    std::memcpy(&v, x + i, sizeof v);
+    lane_lo = v < lane_lo ? v : lane_lo;
+    lane_hi = v > lane_hi ? v : lane_hi;
+  }
+  float l = kInf;
+  float h = -kInf;
+  for (std::int64_t j = 0; j < kLanes; ++j) {
+    l = lane_lo[j] < l ? lane_lo[j] : l;
+    h = lane_hi[j] > h ? lane_hi[j] : h;
+  }
+  for (; i < n; ++i) {
+    l = x[i] < l ? x[i] : l;
+    h = x[i] > h ? x[i] : h;
+  }
+  // Equal floats are bit-identical except +0 and -0. The serial scan keeps
+  // the first zero in index order, which the lanes cannot know: find it.
+  if (l == 0.0F || h == 0.0F) {
+    const float first_zero = *std::find(x, x + n, 0.0F);
+    if (l == 0.0F) l = first_zero;
+    if (h == 0.0F) h = first_zero;
+  }
+  *lo = l;
+  *hi = h;
 }
 
 }  // namespace pgmr::nn

@@ -2,9 +2,10 @@
 //
 // The serving runtime's request path: submitters push (blocking when the
 // queue is full, which is the runtime's backpressure mechanism) and the
-// batcher pops with a deadline so it can close out a partial batch when
-// max_delay expires. close() wakes everyone: pending pushes fail, pops
-// drain the remaining items and then return nullopt.
+// batcher pops with a deadline: `now` to take only what is already queued,
+// or a max_delay cap to let a batch fill after a full one. close() wakes
+// everyone: pending pushes fail, pops drain the remaining items and then
+// return nullopt.
 #pragma once
 
 #include <chrono>

@@ -129,17 +129,23 @@ void ServingRuntime::on_member_fenced() {
 }
 
 void ServingRuntime::batcher_loop() {
+  // Work-conserving: a batch is the head request plus whatever is already
+  // queued. Only when the previous batch was full (demand exceeds one
+  // batch) does the batcher linger for more, and then at most max_delay.
+  bool last_full = false;
   while (std::optional<Request> first = queue_.pop()) {
     std::vector<Request> batch;
     batch.reserve(options_.max_batch);
     batch.push_back(std::move(*first));
-    const auto deadline =
-        std::chrono::steady_clock::now() + options_.max_delay;
+    const auto close_at =
+        std::chrono::steady_clock::now() +
+        (last_full ? options_.max_delay : std::chrono::microseconds{0});
     while (batch.size() < options_.max_batch) {
-      std::optional<Request> next = queue_.pop_until(deadline);
-      if (!next) break;  // linger expired, or closed and drained
+      std::optional<Request> next = queue_.pop_until(close_at);
+      if (!next) break;  // queue empty at close_at, or closed and drained
       batch.push_back(std::move(*next));
     }
+    last_full = batch.size() == options_.max_batch;
     run_batch(batch);
   }
 }

@@ -7,12 +7,14 @@
 //       batch --> ensemble members fanned across the ThreadPool -->
 //       decision engine --> promise fulfilled with the Verdict
 //
-// The batcher coalesces queued single-image requests into batches of up to
-// max_batch, waiting at most max_delay after the first request before
-// closing a partial batch. Inside a batch, parallelism is per member (the
-// paper's Layer-2 networks are independent), so verdicts are bit-identical
-// to the serial path regardless of thread count. One batch is in flight at
-// a time, which also keeps member networks single-threaded internally.
+// The batcher is work-conserving: it dispatches the head request plus
+// whatever is already queued, up to max_batch, without waiting. Only after a
+// full batch (demand exceeds one batch) does it linger for more requests,
+// and then for at most max_delay, a cap rather than a wait. Inside a batch,
+// parallelism is per member (the paper's Layer-2 networks are independent),
+// so verdicts are bit-identical to the serial path regardless of thread
+// count. One batch is in flight at a time, which also keeps member networks
+// single-threaded internally.
 //
 // Backpressure: the queue is bounded; submit() blocks when full,
 // try_submit() refuses. Shutdown drains the queue — every accepted request
@@ -72,7 +74,9 @@ class DeadlineExceeded : public std::runtime_error {
 struct RuntimeOptions {
   std::size_t threads = 1;              ///< worker pool size
   std::size_t max_batch = 8;            ///< batch size cap (clamped >= 1)
-  std::chrono::microseconds max_delay{1000};  ///< partial-batch linger
+  /// Linger cap: after a full batch, wait at most this long for the next
+  /// batch to fill. A batch after a partial one goes out without waiting.
+  std::chrono::microseconds max_delay{1000};
   std::size_t queue_capacity = 256;     ///< bounded request queue
   int quarantine_after = 3;             ///< consecutive faults to quarantine
   std::chrono::milliseconds quarantine_cooldown{250};  ///< half-open delay

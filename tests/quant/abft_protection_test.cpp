@@ -2,9 +2,11 @@
 // bit-identity at zero faults, per-layer detection (including layers
 // nested in composites), and CRC coverage of flips ABFT's tolerance hides.
 #include <bit>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "nn/abft.h"
 #include "nn/activations.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
@@ -180,6 +182,36 @@ TEST(AbftProtectionTest, RefreshChecksumBlessesLegitimateEdits) {
   AbftCheck check;
   q.forward(random_input(12), &check);
   EXPECT_TRUE(check.ok);
+}
+
+TEST(AbftProtectionTest, MinmaxMatchesTheSerialScanBitForBit) {
+  // The serial scan the guard envelopes were defined by: NaN fails both
+  // compares and is skipped, ±inf take part, and of +0 and -0 the first in
+  // index order wins.
+  const auto serial = [](const std::vector<float>& x, float* lo, float* hi) {
+    *lo = std::numeric_limits<float>::infinity();
+    *hi = -std::numeric_limits<float>::infinity();
+    for (const float v : x) {
+      if (v < *lo) *lo = v;
+      if (v > *hi) *hi = v;
+    }
+  };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float palette[] = {0.0F,  -0.0F, kInf, -kInf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           1.5F,  -1.5F, 3.0F, -3.0F};
+  Rng rng(80);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<float> x(static_cast<std::size_t>(rng.randint(0, 70)));
+    for (float& v : x) v = palette[rng.randint(0, 8)];
+    float want_lo = 0.0F, want_hi = 0.0F, lo = 0.0F, hi = 0.0F;
+    serial(x, &want_lo, &want_hi);
+    nn::abft_minmax(x.data(), static_cast<std::int64_t>(x.size()), &lo, &hi);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(lo),
+              std::bit_cast<std::uint32_t>(want_lo)) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(hi),
+              std::bit_cast<std::uint32_t>(want_hi)) << "trial " << trial;
+  }
 }
 
 TEST(AbftProtectionTest, SetProtectionRetrofitsChecksums) {

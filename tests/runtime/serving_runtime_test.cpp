@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <vector>
 
@@ -207,6 +208,94 @@ TEST(ServingRuntimeTest, GeometryMismatchFailsOnlyThatRequest) {
   // request is unaffected.
   EXPECT_NO_THROW(good.get());
   EXPECT_THROW(bad.get(), std::exception);
+}
+
+// ---- the work-conserving batcher -------------------------------------------
+
+using std::chrono::milliseconds;
+using std::chrono::seconds;
+using std::chrono::steady_clock;
+
+constexpr std::size_t kMaxBatch = 4;
+
+RuntimeOptions batcher_options(std::chrono::microseconds max_delay) {
+  RuntimeOptions o = fast_options(1);
+  o.max_batch = kMaxBatch;
+  o.max_delay = max_delay;
+  return o;
+}
+
+/// Submits 2 * kMaxBatch requests while holding the swap lock. The batcher
+/// pops the head and takes what has arrived by then (1..kMaxBatch
+/// requests); that batch blocks on the lock in run_batch, and the rest
+/// queue behind it. So at least kMaxBatch requests are queued when the lock
+/// is released. The queue (capacity 64) never fills, so submitting under
+/// the lock cannot block.
+std::vector<std::future<polygraph::Verdict>> burst_behind_swap_lock(
+    ServingRuntime& rt) {
+  const Tensor images = random_images(2 * kMaxBatch, 50);
+  std::vector<std::future<polygraph::Verdict>> futures;
+  rt.with_swap_lock([&] {
+    for (std::int64_t n = 0; n < static_cast<std::int64_t>(2 * kMaxBatch);
+         ++n) {
+      futures.push_back(rt.submit(images.slice_sample(n)));
+    }
+  });
+  return futures;
+}
+
+TEST(ServingRuntimeTest, LoneRequestDoesNotWaitOutMaxDelay) {
+  // max_delay is a cap on lingering after a full batch, not a wait: a
+  // request that arrives alone goes out at once, every time.
+  ServingRuntime rt(tiny_system(2), batcher_options(seconds(10)));
+  for (std::uint64_t seed = 60; seed < 63; ++seed) {
+    const auto start = steady_clock::now();
+    auto f = rt.submit(random_images(1, seed));
+    ASSERT_EQ(f.wait_for(seconds(5)), std::future_status::ready);
+    EXPECT_NO_THROW(f.get());
+    EXPECT_LT(steady_clock::now() - start, seconds(1));
+  }
+  EXPECT_EQ(rt.metrics_snapshot().batches, 3U);
+}
+
+TEST(ServingRuntimeTest, RequestsQueuedBehindARunningBatchGoOutAsOneFullBatch) {
+  ServingRuntime rt(tiny_system(2), batcher_options(milliseconds(20)));
+  for (auto& f : burst_behind_swap_lock(rt)) EXPECT_NO_THROW(f.get());
+  const MetricsSnapshot s = rt.metrics_snapshot();
+  EXPECT_EQ(s.batch_size_sum, 2 * kMaxBatch);
+  EXPECT_EQ(s.max_batch_size, kMaxBatch);  // the queued ones went together
+  EXPECT_LE(s.batches, 3U);
+}
+
+TEST(ServingRuntimeTest, PartialBatchAfterAFullOneIsClosedByTheCap) {
+  // The burst's second batch is full, so the batcher then lingers: for the
+  // burst's remainder or, when nothing remains, for the straggler below.
+  // Either way one partial batch waits out the cap and then goes out; it
+  // does not hang.
+  constexpr milliseconds kCap(100);
+  ServingRuntime rt(tiny_system(2), batcher_options(kCap));
+  const auto start = steady_clock::now();
+  for (auto& f : burst_behind_swap_lock(rt)) EXPECT_NO_THROW(f.get());
+  auto straggler = rt.submit(random_images(1, 70));
+  ASSERT_EQ(straggler.wait_for(seconds(10)), std::future_status::ready);
+  EXPECT_NO_THROW(straggler.get());
+  EXPECT_GE(steady_clock::now() - start, kCap);
+  EXPECT_EQ(rt.metrics_snapshot().requests_completed, 2 * kMaxBatch + 1);
+}
+
+TEST(ServingRuntimeTest, ShutdownEndsTheLingerAndDrainsEveryRequest) {
+  // After the burst's full batch the batcher may linger up to 10 s for the
+  // remainder; shutdown() closes the queue, which ends the linger at once,
+  // and every accepted request still gets its verdict.
+  ServingRuntime rt(tiny_system(2), batcher_options(seconds(10)));
+  auto futures = burst_behind_swap_lock(rt);
+  const auto start = steady_clock::now();
+  rt.shutdown();
+  EXPECT_LT(steady_clock::now() - start, seconds(5));
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  const MetricsSnapshot s = rt.metrics_snapshot();
+  EXPECT_EQ(s.requests_submitted, 2 * kMaxBatch);
+  EXPECT_EQ(s.requests_completed, 2 * kMaxBatch);
 }
 
 TEST(ServingRuntimeTest, OptionsAreClampedToUsableValues) {

@@ -571,7 +571,7 @@ int usage() {
                "  pgmr eval <config.cfg>\n"
                "  pgmr predict <config.cfg> <sample-index>\n"
                "  pgmr serve-bench <config.cfg> [--threads N] [--max-batch B]"
-               " [--max-delay-us D] [--queue-cap Q] [--requests R]"
+               " [--max-delay-us CAP] [--queue-cap Q] [--requests R]"
                " [--deadline-us T] [--closed-loop K] [--shards N]"
                " [--isolation thread|process]"
                " [--protection off|fc|full|auto] [--sdc-budget B]"
@@ -579,6 +579,9 @@ int usage() {
                " [--scrub-max-chunks N] [--scrub-max-hold-us H]"
                " [--replacement on|off]"
                " [--training-threads N] [--training-nice L]\n"
+               "      (--max-delay-us caps the wait for a batch to fill; it"
+               " applies only after a full batch, otherwise queued requests"
+               " go out at once)\n"
                "  pgmr workload <out.trace> [--seed S] [--requests R]"
                " [--day-seconds T] [--diurnal-amplitude A] [--burst-prob P]"
                " [--burst-len L] [--drift-frac D] [--ood-frac O]"
