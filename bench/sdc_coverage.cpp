@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       ++tally.trials;
       // The CRC sweep is exact: any stored-weight flip that survives until
       // the next scrub cycle is caught there.
-      if (!target.params_intact()) ++tally.detected_scrub;
+      if (!target.net().params_intact()) ++tally.detected_scrub;
 
       mr::MemberOutcome outcome = target.try_probabilities(probe.images);
       if (outcome.fault == mr::MemberFault::checksum ||
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
       }
 
       ++tally.trials;
-      if (!target.params_intact()) ++tally.detected_scrub;
+      if (!target.net().params_intact()) ++tally.detected_scrub;
       mr::MemberOutcome outcome = target.try_probabilities(probe.images);
       if (outcome.fault == mr::MemberFault::checksum ||
           outcome.fault == mr::MemberFault::non_finite) {

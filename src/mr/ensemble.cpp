@@ -79,9 +79,9 @@ Member::ReloadStatus Member::reload_params() {
     quant::QuantizedNetwork fresh(nn::Network::load(archive_source_),
                                   net_.bits(), net_.protection());
     // Construction is deterministic (load + truncate + bless), so a healthy
-    // archive reproduces the exact CRCs blessed at member construction. A
-    // difference means the archive itself has rotted since.
-    if (fresh.golden_param_crcs() != net_.golden_param_crcs()) {
+    // archive reproduces the exact chunk CRCs blessed at member
+    // construction. A difference means the archive itself has rotted since.
+    if (fresh.golden_chunk_crcs() != net_.golden_chunk_crcs()) {
       return ReloadStatus::mismatch;
     }
     net_ = std::move(fresh);

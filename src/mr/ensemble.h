@@ -71,26 +71,6 @@ class Member {
     archive_source_ = std::move(path);
   }
 
-  /// True when every parameter CRC still matches its blessed snapshot.
-  bool params_intact() { return net_.params_intact(); }
-
-  /// Number of parameter tensors — the incremental scrubber's work unit.
-  std::size_t param_count() { return net_.param_count(); }
-
-  /// CRC check of one parameter tensor (params() order).
-  bool param_intact(std::size_t i) { return net_.param_intact(i); }
-
-  /// Chunks in parameter tensor `i` — the resumable scrubber's work unit
-  /// (see quant::QuantizedNetwork::kCrcChunkElems).
-  std::size_t param_chunk_count(std::size_t i) {
-    return net_.param_chunk_count(i);
-  }
-
-  /// CRC check of one chunk of parameter tensor `i`.
-  bool param_chunk_intact(std::size_t i, std::size_t chunk) {
-    return net_.param_chunk_intact(i, chunk);
-  }
-
   /// Outcome of a reload_params() self-heal attempt.
   enum class ReloadStatus {
     healed,       ///< weights replaced from the archive, CRCs match again
@@ -100,9 +80,9 @@ class Member {
   };
 
   /// Rebuilds this member's network from archive_source(). The fresh copy
-  /// must reproduce the originally blessed parameter CRCs (construction is
-  /// deterministic: load + truncate), otherwise the archive itself is
-  /// suspect and the member is left untouched.
+  /// must reproduce the originally blessed parameter chunk CRCs
+  /// (construction is deterministic: load + truncate), otherwise the
+  /// archive itself is suspect and the member is left untouched.
   ReloadStatus reload_params();
 
   /// Applies the preprocessor then the network; returns [N, C] softmax.
@@ -113,7 +93,8 @@ class Member {
   /// checksum failures are reported in the outcome, never thrown.
   MemberOutcome try_probabilities(const Tensor& images);
 
-  /// The wrapped network, exposed for fault-injection campaigns.
+  /// The wrapped network: fault-injection campaigns edit it, the scrubber
+  /// verifies its parameter CRC chunks.
   quant::QuantizedNetwork& net() { return net_; }
 
   /// Static cost of one inference on inputs of shape `in` at this member's

@@ -7,7 +7,6 @@
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/extra_layers.h"
 #include "nn/pooling.h"
 
 namespace pgmr::nn {
@@ -39,9 +38,6 @@ std::unique_ptr<Layer> load_layer(BinaryReader& r) {
   if (kind == "relu") return ReLU::load(r);
   if (kind == "dropout") return Dropout::load(r);
   if (kind == "maxpool2d") return MaxPool2D::load(r);
-  if (kind == "avgpool2d") return AvgPool2D::load(r);
-  if (kind == "sigmoid") return Sigmoid::load(r);
-  if (kind == "tanh") return Tanh::load(r);
   if (kind == "globalavgpool") return GlobalAvgPool::load(r);
   if (kind == "flatten") return Flatten::load(r);
   if (kind == "batchnorm") return BatchNorm::load(r);

@@ -71,9 +71,6 @@ void write_system_spec(const std::string& dir,
   w.write_i64(options.quarantine_after);
   w.write_i64(options.quarantine_cooldown.count());
   w.write_i64(options.scrub_interval.count());
-  w.write_i64(static_cast<std::int64_t>(options.scrub_max_tensors));
-  w.write_i64(static_cast<std::int64_t>(options.scrub_max_chunks));
-  w.write_i64(options.scrub_max_hold.count());
   w.write_i64(options.fence_after_quarantines);
   w.close();
 }
@@ -110,10 +107,10 @@ WorkerSystem load_system_spec(const std::string& dir) {
   options.quarantine_after = static_cast<int>(r.read_i64());
   options.quarantine_cooldown = std::chrono::milliseconds(r.read_i64());
   options.scrub_interval = std::chrono::milliseconds(r.read_i64());
-  options.scrub_max_tensors = static_cast<std::size_t>(r.read_i64());
-  options.scrub_max_chunks = static_cast<std::size_t>(r.read_i64());
-  options.scrub_max_hold = std::chrono::microseconds(r.read_i64());
   options.fence_after_quarantines = static_cast<int>(r.read_i64());
+  // Bytes after the last field mean the spec was written in another
+  // layout (e.g. one with more fields): fail instead of misreading it.
+  r.expect_end();
   options.protection_per_member = std::move(levels);
 
   WorkerSystem ws{polygraph::PolygraphSystem(std::move(ensemble)), options};

@@ -10,6 +10,32 @@
 
 namespace pgmr::quant {
 
+namespace {
+
+constexpr std::int64_t kChunk = QuantizedNetwork::kCrcChunkElems;
+
+/// CRC chunks a tensor of `numel` floats is blessed as (at least one).
+std::size_t chunk_count(std::int64_t numel) {
+  return static_cast<std::size_t>(
+      std::max<std::int64_t>(1, (numel + kChunk - 1) / kChunk));
+}
+
+std::uint32_t chunk_crc(const Tensor& p, std::size_t chunk) {
+  const std::int64_t at = static_cast<std::int64_t>(chunk) * kChunk;
+  const std::int64_t len = std::min(kChunk, p.numel() - at);
+  return crc32(p.data() + at, static_cast<std::size_t>(len) * sizeof(float));
+}
+
+/// The golden chunking implies the blessed numel: a live tensor chunked
+/// differently has drifted in size — a corruption, never a pass.
+bool chunk_matches(const Tensor& p, const std::vector<std::uint32_t>& golden,
+                   std::size_t chunk) {
+  return chunk < golden.size() && chunk_count(p.numel()) == golden.size() &&
+         chunk_crc(p, chunk) == golden[chunk];
+}
+
+}  // namespace
+
 QuantizedNetwork::QuantizedNetwork(nn::Network network, int bits,
                                    nn::Protection protection)
     : network_(std::move(network)), bits_(bits), protection_(protection) {
@@ -66,74 +92,40 @@ void QuantizedNetwork::refresh_checksum() {
       }
       break;
   }
-  golden_crcs_ = current_param_crcs();
   golden_chunk_crcs_.clear();
   for (Tensor* p : network_.params()) {
-    std::vector<std::uint32_t> chunks;
-    const std::int64_t n = p->numel();
-    for (std::int64_t at = 0; at == 0 || at < n; at += kCrcChunkElems) {
-      const std::int64_t len = std::min<std::int64_t>(kCrcChunkElems, n - at);
-      chunks.push_back(crc32(p->data() + at,
-                             static_cast<std::size_t>(len) * sizeof(float)));
+    std::vector<std::uint32_t> chunks(chunk_count(p->numel()));
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      chunks[c] = chunk_crc(*p, c);
     }
     golden_chunk_crcs_.push_back(std::move(chunks));
   }
 }
 
-std::vector<std::uint32_t> QuantizedNetwork::current_param_crcs() {
-  std::vector<std::uint32_t> crcs;
-  for (Tensor* p : network_.params()) {
-    crcs.push_back(crc32(p->data(), static_cast<std::size_t>(p->numel()) *
-                                        sizeof(float)));
-  }
-  return crcs;
-}
-
 bool QuantizedNetwork::params_intact() { return first_corrupt_param() < 0; }
 
-std::size_t QuantizedNetwork::param_count() {
-  return network_.params().size();
-}
-
-bool QuantizedNetwork::param_intact(std::size_t i) {
-  const std::vector<Tensor*> params = network_.params();
-  // A size drift between live params and the golden snapshot is itself a
-  // corruption signal, never a pass.
-  if (i >= params.size() || i >= golden_crcs_.size()) return false;
-  const Tensor* p = params[i];
-  return crc32(p->data(),
-               static_cast<std::size_t>(p->numel()) * sizeof(float)) ==
-         golden_crcs_[i];
-}
-
-std::size_t QuantizedNetwork::param_chunk_count(std::size_t i) {
-  if (i >= golden_chunk_crcs_.size()) return 0;
-  return golden_chunk_crcs_[i].size();
+std::size_t QuantizedNetwork::param_chunk_count(std::size_t i) const {
+  return i < golden_chunk_crcs_.size() ? golden_chunk_crcs_[i].size() : 0;
 }
 
 bool QuantizedNetwork::param_chunk_intact(std::size_t i, std::size_t chunk) {
   const std::vector<Tensor*> params = network_.params();
-  if (i >= params.size() || i >= golden_chunk_crcs_.size()) return false;
-  const std::vector<std::uint32_t>& golden = golden_chunk_crcs_[i];
-  if (chunk >= golden.size()) return false;
-  const Tensor* p = params[i];
-  const std::int64_t at = static_cast<std::int64_t>(chunk) * kCrcChunkElems;
-  // The golden chunking implies the blessed numel; a live tensor that no
-  // longer covers this chunk has drifted in size — corruption, not a pass.
-  if (at > p->numel()) return false;
-  const std::int64_t len = std::min<std::int64_t>(kCrcChunkElems,
-                                                  p->numel() - at);
-  return crc32(p->data() + at,
-               static_cast<std::size_t>(len) * sizeof(float)) == golden[chunk];
+  return i < params.size() && i < golden_chunk_crcs_.size() &&
+         chunk_matches(*params[i], golden_chunk_crcs_[i], chunk);
 }
 
 int QuantizedNetwork::first_corrupt_param() {
-  const std::vector<std::uint32_t> now = current_param_crcs();
-  const std::size_t n = std::min(now.size(), golden_crcs_.size());
+  const std::vector<Tensor*> params = network_.params();
+  const std::size_t n = std::min(params.size(), golden_chunk_crcs_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (now[i] != golden_crcs_[i]) return static_cast<int>(i);
+    for (std::size_t c = 0; c < golden_chunk_crcs_[i].size(); ++c) {
+      if (!chunk_matches(*params[i], golden_chunk_crcs_[i], c)) {
+        return static_cast<int>(i);
+      }
+    }
   }
-  if (now.size() != golden_crcs_.size()) return static_cast<int>(n);
+  // A live/golden tensor-count drift is itself a corruption signal.
+  if (params.size() != golden_chunk_crcs_.size()) return static_cast<int>(n);
   return -1;
 }
 

@@ -16,10 +16,11 @@
 // reported through AbftCheck with the first failing layer — without any
 // second GEMM.
 //
-// Independently of ABFT, the wrapper snapshots a CRC32 of every parameter
-// tensor at blessing time; the runtime's weight scrubber re-computes these
-// off the hot path to catch corruptions ABFT's tolerance hides (e.g.
-// mantissa-LSB flips) and to decide when a member needs reloading.
+// Independently of ABFT, the wrapper snapshots CRC32s of every parameter
+// tensor, one per 64 KiB chunk, at blessing time; the runtime's weight
+// scrubber re-computes these off the hot path to catch corruptions ABFT's
+// tolerance hides (e.g. mantissa-LSB flips) and to decide when a member
+// needs reloading.
 #pragma once
 
 #include <cstdint>
@@ -100,37 +101,30 @@ class QuantizedNetwork {
   /// at the active protection level and re-snapshots the parameter CRCs.
   void refresh_checksum();
 
-  /// Golden CRC32 per parameter tensor, in params() order, taken at the
-  /// last blessing (construction / refresh_checksum / set_protection).
-  const std::vector<std::uint32_t>& golden_param_crcs() const {
-    return golden_crcs_;
+  /// Chunk granularity of the parameter CRC snapshot: each parameter
+  /// tensor is blessed as independent CRC32s over kCrcChunkElems-float
+  /// windows, so a corruption is localized to its chunk and the scrubber
+  /// verifies one chunk per swap-mutex acquisition. 16384 floats = 64 KiB.
+  static constexpr std::int64_t kCrcChunkElems = 16384;
+
+  /// Golden chunk CRC32s per parameter tensor, in params() order, taken at
+  /// the last blessing (construction / refresh_checksum / set_protection).
+  const std::vector<std::vector<std::uint32_t>>& golden_chunk_crcs() const {
+    return golden_chunk_crcs_;
   }
 
-  /// CRC32 per parameter tensor over the *current* weights.
-  std::vector<std::uint32_t> current_param_crcs();
-
-  /// True when every current parameter CRC matches its golden snapshot.
+  /// True when every current parameter chunk matches its golden CRC.
   bool params_intact();
 
   /// Index (params() order) of the first corrupted parameter, -1 if intact.
   int first_corrupt_param();
 
-  /// Number of parameter tensors — the unit of incremental scrubbing.
-  std::size_t param_count();
-
-  /// CRC check of a single parameter tensor (params() order); false for an
-  /// out-of-range index or a live/golden size drift.
-  bool param_intact(std::size_t i);
-
-  /// Chunk granularity of the resumable CRC snapshot: a parameter tensor
-  /// is blessed as independent CRC32s over kCrcChunkElems-float windows,
-  /// so the scrubber can verify (and be interrupted inside) a tensor far
-  /// larger than one swap-mutex hold budget. 16384 floats = 64 KiB.
-  static constexpr std::int64_t kCrcChunkElems = 16384;
+  /// Number of blessed parameter tensors.
+  std::size_t param_count() const { return golden_chunk_crcs_.size(); }
 
   /// Chunks in parameter tensor `i` (ceil(numel / kCrcChunkElems), at
   /// least 1 for an in-range tensor); 0 for an out-of-range index.
-  std::size_t param_chunk_count(std::size_t i);
+  std::size_t param_chunk_count(std::size_t i) const;
 
   /// CRC check of one chunk of parameter tensor `i`; false out of range or
   /// on live/golden size drift — a drift is a corruption signal.
@@ -145,9 +139,7 @@ class QuantizedNetwork {
   nn::Protection protection_;
   /// Golden checksum per top-level layer; empty entries are unprotected.
   std::vector<nn::AbftChecksum> layer_golden_;
-  std::vector<std::uint32_t> golden_crcs_;
-  /// Per-tensor chunked CRC snapshot (kCrcChunkElems floats per chunk),
-  /// captured at the same blessings as golden_crcs_.
+  /// Per-tensor chunked CRC snapshot (kCrcChunkElems floats per chunk).
   std::vector<std::vector<std::uint32_t>> golden_chunk_crcs_;
   ForwardTap tap_;
 };

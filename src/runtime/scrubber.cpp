@@ -1,5 +1,7 @@
 #include "runtime/scrubber.h"
 
+#include <cstdint>
+
 namespace pgmr::runtime {
 
 WeightScrubber::WeightScrubber(mr::Ensemble& ensemble, MemberHealth& health,
@@ -9,9 +11,7 @@ WeightScrubber::WeightScrubber(mr::Ensemble& ensemble, MemberHealth& health,
       health_(health),
       metrics_(metrics),
       swap_mutex_(swap_mutex),
-      options_(options),
-      cursors_(ensemble.size()),
-      passes_(ensemble.size()) {}
+      options_(options) {}
 
 WeightScrubber::~WeightScrubber() { stop(); }
 
@@ -44,80 +44,49 @@ void WeightScrubber::loop(std::stop_token st) {
 }
 
 ScrubReport WeightScrubber::scrub_once() {
-  using clock = std::chrono::steady_clock;
   ScrubReport report;
-  for (std::size_t m = 0; m < ensemble_.size(); ++m) {
+  for (std::size_t m = 0; m < ensemble_.size(); ++m) scrub_member(m, report);
+  metrics_.on_scrub_cycle();
+  return report;
+}
+
+void WeightScrubber::scrub_member(std::size_t m, ScrubReport& report) {
+  using clock = std::chrono::steady_clock;
+  std::size_t tensor = 0;
+  std::size_t chunk = 0;
+  for (bool done = false; !done;) {
     bool fenced_now = false;
     std::uint64_t hold_us = 0;
     {
-      // Per-member lock: a sweep never stalls the batcher for longer than
-      // one member's cursor window (or one reload when healing).
       std::lock_guard guard(swap_mutex_);
       const clock::time_point hold_start = clock::now();
-      if (health_.state(m) == MemberState::fenced) continue;
+      // Re-read the slot under every acquisition: a replace_now() hot-swap
+      // or a fence may have landed since the previous chunk, changing the
+      // member's state and its chunk layout.
+      if (health_.state(m) == MemberState::fenced) return;
       mr::Member& member = ensemble_.member(m);
-      ++report.members_checked;
-
-      const std::size_t total = member.param_count();
-      if (total == 0) {
-        passes_[m].fetch_add(1, std::memory_order_relaxed);
-        continue;
+      quant::QuantizedNetwork& net = member.net();
+      while (tensor < net.param_count() &&
+             chunk >= net.param_chunk_count(tensor)) {
+        ++tensor;
+        chunk = 0;
       }
-      const std::size_t budget =
-          options_.max_tensors_per_sweep == 0
-              ? total
-              : std::min(options_.max_tensors_per_sweep, total);
-      Cursor& cursor = cursors_[m];
-      if (cursor.tensor >= total) cursor = Cursor{};
+      if (tensor >= net.param_count()) return;
+      if (tensor == 0 && chunk == 0) ++report.members_checked;
 
-      // Verify CRC chunks from the cursor until a tensor budget, chunk
-      // budget or the hold ceiling stops the sweep — possibly mid-tensor,
-      // where the chunk cursor resumes next sweep. At least one chunk is
-      // always verified, so progress never starves.
-      bool corrupt = false;
-      std::size_t tensors_done = 0;
-      std::size_t chunks_done = 0;
-      bool stop = false;
-      while (!stop && tensors_done < budget) {
-        const std::size_t chunks = member.param_chunk_count(cursor.tensor);
-        if (cursor.chunk >= chunks) cursor.chunk = 0;
-        while (cursor.chunk < chunks) {
-          if (!member.param_chunk_intact(cursor.tensor, cursor.chunk)) {
-            corrupt = true;
-          }
-          ++report.chunks_checked;
-          ++chunks_done;
-          ++cursor.chunk;
-          if (corrupt ||
-              (options_.max_chunks_per_sweep > 0 &&
-               chunks_done >= options_.max_chunks_per_sweep) ||
-              // Soft hold ceiling: release the batcher after the current
-              // chunk once the configured budget of lock time is spent.
-              (options_.max_hold.count() > 0 &&
-               clock::now() - hold_start >= options_.max_hold)) {
-            stop = true;
-            break;
-          }
-        }
-        if (!corrupt && cursor.chunk >= chunks) {  // whole tensor clean
+      ++report.chunks_checked;
+      if (net.param_chunk_intact(tensor, chunk)) {
+        if (++chunk == net.param_chunk_count(tensor)) {
           ++report.tensors_checked;
-          ++tensors_done;
-          cursor.tensor = (cursor.tensor + 1) % total;
-          cursor.chunk = 0;
-          if (cursor.tensor == 0) {
-            passes_[m].fetch_add(1, std::memory_order_relaxed);
-          }
+          ++tensor;
+          chunk = 0;
+          done = tensor == net.param_count();
         }
-      }
-
-      if (corrupt) {
+      } else {
+        done = true;
         ++report.mismatches;
         metrics_.on_crc_mismatch(m);
-        // Whatever happens next, the member's weights change (heal) or the
-        // member leaves service (fence): restart its verification cycle.
-        cursor = Cursor{};
-        const mr::Member::ReloadStatus status = member.reload_params();
-        if (status == mr::Member::ReloadStatus::healed) {
+        if (member.reload_params() == mr::Member::ReloadStatus::healed) {
           ++report.reloads;
           metrics_.on_weight_reload(m);
         } else {
@@ -138,9 +107,11 @@ ScrubReport WeightScrubber::scrub_once() {
     // Outside the swap-mutex scope: the hook may wake the replacer, whose
     // swap then proceeds without waiting on this sweep.
     if (fenced_now && on_fence_) on_fence_();
+    // A batch blocked on the mutex gets it before the next chunk does: an
+    // immediate re-lock would usually win the race against the woken
+    // waiter and stretch its wait from one chunk to the whole sweep.
+    std::this_thread::yield();
   }
-  metrics_.on_scrub_cycle();
-  return report;
 }
 
 }  // namespace pgmr::runtime

@@ -10,22 +10,22 @@
 // itself no longer reproduces the blessed CRCs (rotted or unreadable), the
 // member is permanently fenced out of the serving quorum instead.
 //
-// Threading: each member is checked and (if needed) healed while holding
-// the runtime's swap mutex — the same mutex the batcher holds across a
-// batch — so weights never change mid-inference and fence decisions never
-// race on_result. The mutex is taken per member, bounding how long any
-// single batch can be delayed by scrubbing.
+// One policy, no budgets: every sweep is a full pass over every member,
+// and each acquisition of the runtime's swap mutex — the same mutex the
+// batcher holds across a batch, so weights never change mid-inference and
+// fence decisions never race on_result — verifies exactly one CRC chunk
+// (quant::QuantizedNetwork::kCrcChunkElems floats, or a whole smaller
+// tensor). A heal or fence runs under the acquisition that found the
+// mismatch. A sweep therefore never delays a batch by more than one
+// chunk's CRC; the sweep interval alone trades CPU for detection latency.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "mr/ensemble.h"
 #include "runtime/health.h"
@@ -37,7 +37,7 @@ namespace pgmr::runtime {
 struct ScrubReport {
   std::size_t members_checked = 0;  ///< members whose CRCs were re-verified
   std::size_t tensors_checked = 0;  ///< parameter tensors fully CRC-verified
-  std::size_t chunks_checked = 0;   ///< intra-tensor CRC chunks verified
+  std::size_t chunks_checked = 0;   ///< CRC chunks verified
   std::size_t mismatches = 0;       ///< members with a corrupted parameter
   std::size_t reloads = 0;          ///< members healed from their archive
   std::size_t fenced = 0;           ///< members fenced (archive bad too)
@@ -49,26 +49,6 @@ class WeightScrubber {
     /// Delay between background sweeps. start() ignores non-positive
     /// intervals (scrub_once() still works for synchronous use).
     std::chrono::milliseconds interval{1000};
-
-    /// Incremental mode: at most this many parameter tensors are CRC'd per
-    /// member per sweep, resuming from a round-robin cursor, so the swap
-    /// mutex is held for bounded time regardless of member size. 0 checks
-    /// every tensor each sweep (the full-pass behaviour).
-    std::size_t max_tensors_per_sweep = 0;
-
-    /// Soft per-acquisition hold ceiling: once a member's CRC work has run
-    /// this long the sweep releases the swap mutex after the current CRC
-    /// *chunk* (at least one is always checked) and resumes mid-tensor on
-    /// the next sweep — so the ceiling binds even when a single tensor's
-    /// CRC outweighs it. 0 disables the ceiling. Measured hold time is
-    /// exported as the scrub_hold_us histogram either way.
-    std::chrono::microseconds max_hold{0};
-
-    /// Deterministic chunk budget: at most this many intra-tensor CRC
-    /// chunks (quant::QuantizedNetwork::kCrcChunkElems floats each) are
-    /// verified per member per sweep, resuming mid-tensor like the hold
-    /// ceiling. 0 leaves chunking to max_tensors_per_sweep/max_hold alone.
-    std::size_t max_chunks_per_sweep = 0;
   };
 
   /// All referees must outlive the scrubber. `swap_mutex` is the runtime's
@@ -99,21 +79,18 @@ class WeightScrubber {
     on_fence_ = std::move(callback);
   }
 
-  /// One synchronous sweep over every member: verify CRCs (all tensors, or
-  /// the next cursor window in incremental mode), heal or fence. Callable
-  /// from any thread (used directly by tests and by the background loop).
-  /// Fenced members are skipped.
+  /// One synchronous full sweep: every chunk of every unfenced member is
+  /// verified, one swap-mutex acquisition per chunk, and a corrupt member
+  /// is healed or fenced. Callable from any thread (used directly by tests
+  /// and by the background loop).
   ScrubReport scrub_once();
-
-  /// Completed full logical CRC passes over member `m` — every tensor
-  /// visited since the previous count. In incremental mode one pass spans
-  /// ceil(param_count / max_tensors_per_sweep) sweeps.
-  std::uint64_t full_passes(std::size_t m) const {
-    return passes_[m].load(std::memory_order_relaxed);
-  }
 
  private:
   void loop(std::stop_token st);
+
+  /// Verifies member `m` chunk by chunk into `report`; stops at the first
+  /// corrupt chunk (after healing or fencing the member).
+  void scrub_member(std::size_t m, ScrubReport& report);
 
   mr::Ensemble& ensemble_;
   MemberHealth& health_;
@@ -121,17 +98,6 @@ class WeightScrubber {
   std::mutex& swap_mutex_;
   Options options_;
   std::function<void()> on_fence_;
-
-  /// Round-robin (tensor, chunk) cursor per member (guarded by
-  /// swap_mutex_): chunk > 0 means a sweep was interrupted mid-tensor and
-  /// resumes there. passes_ counts completed full passes (atomic for test
-  /// observers).
-  struct Cursor {
-    std::size_t tensor = 0;
-    std::size_t chunk = 0;
-  };
-  std::vector<Cursor> cursors_;
-  std::vector<std::atomic<std::uint64_t>> passes_;
 
   std::mutex wake_mutex_;
   std::condition_variable_any wake_;

@@ -53,10 +53,7 @@ ServingRuntime::ServingRuntime(polygraph::PolygraphSystem system,
   }
   scrubber_ = std::make_unique<WeightScrubber>(
       system_.ensemble(), health_, metrics_, swap_mutex_,
-      WeightScrubber::Options{options_.scrub_interval,
-                              options_.scrub_max_tensors,
-                              options_.scrub_max_hold,
-                              options_.scrub_max_chunks});
+      WeightScrubber::Options{options_.scrub_interval});
   replacer_ = std::make_unique<MemberReplacer>(
       system_.ensemble(), health_, metrics_, swap_mutex_,
       std::move(levels), options_.replacement);

@@ -88,18 +88,9 @@ struct RuntimeOptions {
   /// re-blessed at protection_per_member[m].
   std::vector<nn::Protection> protection_per_member;
   /// Background weight-scrub sweep period; <= 0 disables the scrubber
-  /// (scrub_now() still verifies on demand).
+  /// (scrub_now() still verifies on demand). Every sweep is a full pass
+  /// that holds the swap mutex for one CRC chunk at a time.
   std::chrono::milliseconds scrub_interval{0};
-  /// Incremental scrubbing: parameter tensors CRC'd per member per sweep
-  /// (round-robin cursor). 0 checks every tensor each sweep.
-  std::size_t scrub_max_tensors = 0;
-  /// Resumable intra-tensor scrubbing: CRC chunks (64 KiB windows) checked
-  /// per member per sweep; a sweep interrupted mid-tensor resumes at its
-  /// chunk cursor. 0 disables the deterministic chunk budget.
-  std::size_t scrub_max_chunks = 0;
-  /// Soft per-acquisition swap-mutex hold ceiling for scrub sweeps
-  /// (see WeightScrubber::Options::max_hold). 0 disables the ceiling.
-  std::chrono::microseconds scrub_max_hold{0};
   /// Breaker escalation: fence a member after this many cumulative
   /// quarantine trips (it keeps failing its probes). 0 disables.
   int fence_after_quarantines = 0;

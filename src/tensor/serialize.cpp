@@ -124,6 +124,16 @@ std::vector<float> BinaryReader::read_floats() {
   return v;
 }
 
+void BinaryReader::expect_end() {
+  const std::streampos at = in_.tellg();
+  in_.seekg(0, std::ios::end);
+  const std::streamoff trailing = in_.tellg() - at;
+  if (trailing != 0) {
+    throw std::runtime_error("BinaryReader: " + std::to_string(trailing) +
+                             " trailing bytes");
+  }
+}
+
 Tensor BinaryReader::read_tensor() {
   const std::uint32_t rank = read_u32();
   if (rank > Shape::kMaxRank) {

@@ -73,6 +73,10 @@ class BinaryReader {
   /// std::runtime_error on mismatch.
   Tensor read_tensor();
 
+  /// Throws std::runtime_error unless every byte has been read — for
+  /// fixed-layout files, where trailing bytes mean a layout mismatch.
+  void expect_end();
+
  private:
   void raw(void* p, std::size_t n);
   std::ifstream in_;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -338,6 +339,20 @@ TEST(SpecTest, SystemSpecRoundTripsBitIdentically) {
     EXPECT_EQ(got.reliable, want.reliable) << "seed " << seed;
     EXPECT_EQ(got.votes, want.votes) << "seed " << seed;
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpecTest, TrailingByteAfterLastFieldThrows) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pgmr-spec-trailing-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  polygraph::PolygraphSystem system = tiny_system();
+  write_system_spec(dir.string(), system, runtime::RuntimeOptions{});
+  ASSERT_NO_THROW(load_system_spec(dir.string()));
+
+  // One extra byte, as a spec written with more fields would leave.
+  std::ofstream(dir / "spec.pgmr", std::ios::binary | std::ios::app).put('\0');
+  EXPECT_THROW(load_system_spec(dir.string()), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

@@ -2,8 +2,8 @@
 // CRC32s over kCrcChunkElems-float windows, so corruption is localized to
 // the chunk that holds it, out-of-range and size-drifted reads fail closed
 // (a drift is a corruption signal, never a pass), and re-blessing rebuilds
-// the chunk snapshot — the contract the runtime's resumable scrubber
-// (scrub_max_chunks) is built on.
+// the chunk snapshot — the contract the runtime's scrubber, which verifies
+// one chunk per swap-mutex acquisition, is built on.
 #include "quant/quantized_network.h"
 
 #include <gtest/gtest.h>
@@ -86,13 +86,13 @@ TEST(ParamChunkTest, CorruptionIsLocalizedToItsChunk) {
   EXPECT_TRUE(qn.param_chunk_intact(target, 0));
   EXPECT_FALSE(qn.param_chunk_intact(target, 1));
   EXPECT_TRUE(qn.param_chunk_intact(target, 2));
-  // The whole-tensor view agrees with the chunked one.
-  EXPECT_FALSE(qn.param_intact(target));
+  // The whole-network view agrees with the chunked one.
+  EXPECT_FALSE(qn.params_intact());
   EXPECT_EQ(qn.first_corrupt_param(), static_cast<int>(target));
   // Other tensors are untouched.
   for (std::size_t i = 0; i < qn.param_count(); ++i) {
-    if (i != target) {
-      EXPECT_TRUE(qn.param_intact(i)) << "param " << i;
+    for (std::size_t c = 0; i != target && c < qn.param_chunk_count(i); ++c) {
+      EXPECT_TRUE(qn.param_chunk_intact(i, c)) << "param " << i;
     }
   }
 }
@@ -134,7 +134,7 @@ TEST(ParamChunkTest, LiveSizeDriftReadsAsCorruption) {
   for (std::size_t c = 0; c < chunks; ++c) {
     EXPECT_FALSE(qn.param_chunk_intact(target, c)) << "chunk " << c;
   }
-  EXPECT_FALSE(qn.param_intact(target));
+  EXPECT_EQ(qn.first_corrupt_param(), static_cast<int>(target));
 }
 
 }  // namespace

@@ -247,12 +247,6 @@ int cmd_serve_bench(const std::string& config_path, int argc, char** argv) {
       sdc_budget = std::atof(arg.c_str());
     } else if (flag == "--scrub-interval-ms") {
       opts.scrub_interval = std::chrono::milliseconds(value);
-    } else if (flag == "--scrub-max-tensors") {
-      opts.scrub_max_tensors = static_cast<std::size_t>(value);
-    } else if (flag == "--scrub-max-chunks") {
-      opts.scrub_max_chunks = static_cast<std::size_t>(value);
-    } else if (flag == "--scrub-max-hold-us") {
-      opts.scrub_max_hold = std::chrono::microseconds(value);
     } else if (flag == "--training-threads") {
       opts.replacement.training_threads = static_cast<std::size_t>(value);
     } else if (flag == "--training-nice") {
@@ -575,9 +569,7 @@ int usage() {
                " [--deadline-us T] [--closed-loop K] [--shards N]"
                " [--isolation thread|process]"
                " [--protection off|fc|full|auto] [--sdc-budget B]"
-               " [--scrub-interval-ms S] [--scrub-max-tensors N]"
-               " [--scrub-max-chunks N] [--scrub-max-hold-us H]"
-               " [--replacement on|off]"
+               " [--scrub-interval-ms S] [--replacement on|off]"
                " [--training-threads N] [--training-nice L]\n"
                "      (--max-delay-us caps the wait for a batch to fill; it"
                " applies only after a full batch, otherwise queued requests"
