@@ -1,5 +1,6 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -131,9 +132,10 @@ Dataset generate_synthetic(const SyntheticSpec& spec) {
 }
 
 std::vector<Dataset> generate_synthetic_parts(
-    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes) {
-  std::int64_t total = 0;
-  bool negative = false;
+    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes,
+    std::int64_t skip) {
+  std::int64_t total = skip;
+  bool negative = skip < 0;
   for (const std::int64_t n : sizes) {
     negative |= n < 0;
     total += n;
@@ -153,41 +155,54 @@ std::vector<Dataset> generate_synthetic_parts(
   }
   rng.shuffle(labels);
 
+  // Renders sample i into `pixels`, which must be zero: instances are
+  // added onto it. Every sample takes its draws from `rng` in order.
+  const auto render = [&](std::int64_t i, float* pixels) {
+    const std::int64_t cls = labels[static_cast<std::size_t>(i)];
+    const InstanceParams primary =
+        perturb(signature_for(cls, spec.num_classes), spec, rng);
+
+    const bool second = rng.bernoulli(spec.second_object_prob);
+    if (second) {
+      // Blend a distractor from a different class; the label remains the
+      // primary object's class, as in the paper's seashore/mountain
+      // example.
+      std::int64_t other = rng.randint(0, spec.num_classes - 2);
+      if (other >= cls) ++other;
+      const InstanceParams distractor =
+          perturb(signature_for(other, spec.num_classes), spec, rng);
+      render_instance(primary, spec, 0.60F, pixels);
+      render_instance(distractor, spec, 0.40F, pixels);
+    } else {
+      render_instance(primary, spec, 1.0F, pixels);
+    }
+
+    if (rng.bernoulli(spec.occlusion_prob)) {
+      apply_occlusion(spec, rng, pixels);
+    }
+
+    for (std::int64_t j = 0; j < per_sample; ++j) {
+      float v = pixels[j] + rng.normal(0.0F, spec.noise_std);
+      pixels[j] = std::min(1.0F, std::max(0.0F, v));
+    }
+  };
+
+  // Skipped samples are drawn into one scratch image, so the samples after
+  // them keep their draws and bits.
+  std::int64_t i = 0;
+  std::vector<float> scratch(
+      static_cast<std::size_t>(skip > 0 ? per_sample : 0));
+  for (; i < skip; ++i) {
+    std::fill(scratch.begin(), scratch.end(), 0.0F);
+    render(i, scratch.data());
+  }
   // Each part is rendered straight into its own buffer, so no full-corpus
   // copy is ever held next to the parts.
   std::vector<Dataset> parts;
-  std::int64_t i = 0;
   for (const std::int64_t n : sizes) {
     std::vector<float> data(static_cast<std::size_t>(n * per_sample), 0.0F);
     for (std::int64_t at = 0; at < n; ++at, ++i) {
-      float* pixels = data.data() + at * per_sample;
-      const std::int64_t cls = labels[static_cast<std::size_t>(i)];
-      const InstanceParams primary =
-          perturb(signature_for(cls, spec.num_classes), spec, rng);
-
-      const bool second = rng.bernoulli(spec.second_object_prob);
-      if (second) {
-        // Blend a distractor from a different class; the label remains the
-        // primary object's class, as in the paper's seashore/mountain
-        // example.
-        std::int64_t other = rng.randint(0, spec.num_classes - 2);
-        if (other >= cls) ++other;
-        const InstanceParams distractor =
-            perturb(signature_for(other, spec.num_classes), spec, rng);
-        render_instance(primary, spec, 0.60F, pixels);
-        render_instance(distractor, spec, 0.40F, pixels);
-      } else {
-        render_instance(primary, spec, 1.0F, pixels);
-      }
-
-      if (rng.bernoulli(spec.occlusion_prob)) {
-        apply_occlusion(spec, rng, pixels);
-      }
-
-      for (std::int64_t j = 0; j < per_sample; ++j) {
-        float v = pixels[j] + rng.normal(0.0F, spec.noise_std);
-        pixels[j] = std::min(1.0F, std::max(0.0F, v));
-      }
+      render(i, data.data() + at * per_sample);
     }
     Dataset part;
     part.name = spec.name;

@@ -45,10 +45,13 @@ struct SyntheticSpec {
 Dataset generate_synthetic(const SyntheticSpec& spec);
 
 /// The corpus generate_synthetic(spec) would return, cut into consecutive
-/// parts of the given sizes (their sum may be below spec.count), each part
-/// rendered into its own buffer. Bit-identical to slicing the full corpus.
+/// parts of the given sizes after its first `skip` samples (skip plus the
+/// sizes may sum below spec.count), each part rendered into its own buffer.
+/// Skipped samples are drawn into one scratch image and dropped. The parts
+/// are bit-identical to slicing the full corpus.
 std::vector<Dataset> generate_synthetic_parts(
-    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes);
+    const SyntheticSpec& spec, const std::vector<std::int64_t>& sizes,
+    std::int64_t skip = 0);
 
 /// The three benchmark tiers standing in for the paper's datasets.
 /// `count` covers train+val+test; see zoo for the canonical split sizes.

@@ -6,8 +6,18 @@
 // and at inference compare the output's sums against the prediction those
 // golden sums make from the layer *input*. A stored-weight corruption (a
 // high-exponent bit flip from the fault injector, a DRAM upset) breaks the
-// identity by many orders of magnitude; the check costs one extra "output
-// channel" of GEMM work (~1/out_channels overhead) and no second GEMM.
+// identity by many orders of magnitude.
+//
+// For a convolution the check runs inside the GEMM (conv_forward in
+// forward_engine.h): the golden column sums are one more row of the first
+// register tile band, sharing its B loads, and the output's column sums
+// are taken in the tile store. Its cost is that one extra row, in double,
+// plus a double add per output: no second GEMM and no second pass over
+// the layer's input or output. abft_verify_cols below is the same
+// arithmetic as a separate pass, kept as the oracle the engine is tested
+// against. Dense layers and eval BatchNorms are verified by separate passes
+// (abft_verify_rows, abft_verify_affine); activations and pooling by range
+// guards.
 //
 // This header carries the protection-level vocabulary shared by quant
 // (QuantizedNetwork), mr (per-member protection) and perf (cost model).
@@ -87,17 +97,21 @@ void abft_verify_rows(const float* a, const float* c, std::int64_t m,
 /// the im2col Conv2D layout: expected column sum j is
 /// sum_k golden.colsum[k]·B[k,j] + golden.bias_sum. Also verifies the
 /// folded conv→BN form when `c` points at the BatchNorm output (the folded
-/// colsum/bias_sum already absorb the BN affine).
+/// colsum/bias_sum already absorb the BN affine). The oracle of the check
+/// conv_forward runs inside its tiles (forward_engine.h).
 void abft_verify_cols(const float* b, const float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n,
                       const AbftChecksum& golden, AbftLayerCheck* check);
 
-/// Batched folded conv→BN verification: `bn_out` is the BatchNorm output
-/// [N, out_c, H, W] and `cols` holds the convolution's im2col buffers
-/// batch-major ([N, patch, H*W], as Conv2D::forward_folded keeps them).
-/// `golden` must be a folded checksum (Conv2D::abft_checksum_folded).
-void abft_verify_folded(const std::vector<float>& cols, const Tensor& bn_out,
-                        const AbftChecksum& golden, AbftLayerCheck* check);
+/// Folds one column's (actual, expected) sums into `check`: ok goes
+/// sticky-false unless |actual-expected|/(1+|expected|) <= kAbftTolerance
+/// (so a NaN or Inf fails), and a finite ratio raises max_rel_error. Does
+/// not set `checked`.
+void abft_fold(double actual, double expected, AbftLayerCheck* check);
+
+/// abft_fold(actual[j], expected[j], check) for j in [0, n), in one pass.
+void abft_fold_cols(const double* actual, const double* expected,
+                    std::int64_t n, AbftLayerCheck* check);
 
 /// Per-channel affine verification for eval-mode BatchNorm,
 /// y[n,c,i] = scale[c]·x[n,c,i] + shift[c]: for every (sample, spatial

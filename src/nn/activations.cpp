@@ -1,6 +1,5 @@
 #include "nn/activations.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pgmr::nn {
@@ -28,11 +27,21 @@ AbftChecksum ReLU::abft_checksum() const {
 
 Tensor ReLU::forward_abft(const Tensor& input, const AbftChecksum&,
                           AbftLayerCheck* check) {
-  float lo = 0.0F, hi = 0.0F;
-  abft_minmax(input.data(), input.numel(), &lo, &hi);
-  Tensor out = forward(input, /*train=*/false);
-  // y = max(0, x): outputs are non-negative and never exceed the input max.
-  abft_guard_range(out.data(), out.numel(), 0.0F, std::max(0.0F, hi), check);
+  // The guard is the range [0, max(0, input max)] plus finiteness. Every
+  // non-NaN output y = max(0, x) lies in that range (+inf included, as the
+  // range then reaches it), so the guard fails exactly on a NaN output,
+  // which this one pass looks for while it writes the outputs.
+  Tensor out(input.shape());
+  const float* x = input.data();
+  float* y = out.data();
+  bool nan = false;
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    const float v = x[i] < 0.0F ? 0.0F : x[i];
+    nan |= v != v;
+    y[i] = v;
+  }
+  check->checked = true;
+  if (nan) check->ok = false;
   return out;
 }
 

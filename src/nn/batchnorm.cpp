@@ -157,6 +157,16 @@ void BatchNorm::effective_affine(Tensor* scale, Tensor* shift) const {
   }
 }
 
+ConvEpilogue BatchNorm::eval_epilogue() const {
+  ConvEpilogue e;
+  e.bn_gamma = gamma_.data();
+  e.bn_beta = beta_.data();
+  e.bn_mean = running_mean_.data();
+  e.bn_var = running_var_.data();
+  e.bn_eps = eps_;
+  return e;
+}
+
 AbftChecksum BatchNorm::abft_checksum() const {
   AbftChecksum golden;
   golden.form = AbftForm::affine;

@@ -1,6 +1,7 @@
 // BatchNorm: per-channel batch normalization (rank-4) or per-feature (rank-2).
 #pragma once
 
+#include "nn/forward_engine.h"
 #include "nn/layer.h"
 
 namespace pgmr::nn {
@@ -30,6 +31,10 @@ class BatchNorm final : public Layer {
   /// and shift = beta − running_mean·scale. Adjacent convolutions fold
   /// this into their ABFT column sums (see Conv2D::abft_checksum_folded).
   void effective_affine(Tensor* scale, Tensor* shift) const;
+
+  /// forward(x, false)'s own per-channel terms, for a preceding conv's
+  /// store to apply (Conv2D::forward_fused); `relu` is left false.
+  ConvEpilogue eval_epilogue() const;
 
   /// Golden affine checksum (AbftForm::affine): colsum = scale,
   /// bias_sum = sum of shifts. Standalone protection for BN layers that

@@ -1,5 +1,6 @@
 #include "nn/blocks.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "nn/batchnorm.h"
@@ -39,6 +40,21 @@ void split_channels(const Tensor& grad, std::int64_t first_channels,
   }
 }
 
+/// The golden checksum of child i, or null when that child is unchecked.
+const AbftChecksum* checked_child(const AbftChecksum* golden, std::size_t i) {
+  if (golden == nullptr || i >= golden->children.size()) return nullptr;
+  const AbftChecksum& g = golden->children[i];
+  return g.empty() ? nullptr : &g;
+}
+
+void check_same_shape(const Tensor& main, const Tensor& shortcut) {
+  if (main.shape() != shortcut.shape()) {
+    throw std::invalid_argument(
+        "ResidualBlock: body/shortcut shape mismatch " +
+        main.shape().to_string() + " vs " + shortcut.shape().to_string());
+  }
+}
+
 }  // namespace
 
 Tensor concat_channels(const Tensor& a, const Tensor& b) {
@@ -70,6 +86,7 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Sequential::forward(const Tensor& input, bool train) {
+  if (!train) return infer(input, nullptr, nullptr);
   Tensor x = input;
   for (auto& layer : layers_) x = layer->forward(x, train);
   return x;
@@ -139,20 +156,40 @@ AbftChecksum Sequential::abft_checksum() const {
 
 Tensor Sequential::forward_abft(const Tensor& input, const AbftChecksum& golden,
                                 AbftLayerCheck* check) {
+  return infer(input, &golden, check);
+}
+
+Tensor Sequential::infer(const Tensor& input, const AbftChecksum* golden,
+                         AbftLayerCheck* check) {
   Tensor x = input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const AbftChecksum* g =
-        i < golden.children.size() ? &golden.children[i] : nullptr;
-    if (g != nullptr && g->form == AbftForm::folded &&
-        foldable_conv_bn(layers_, i)) {
-      auto* conv = static_cast<Conv2D*>(layers_[i].get());
-      x = conv->forward_folded(x, *layers_[i + 1], *g, check);
-      ++i;
+    const AbftChecksum* g = checked_child(golden, i);
+    if (layers_[i]->kind() != "conv2d") {
+      x = g != nullptr ? layers_[i]->forward_abft(x, *g, check)
+                       : layers_[i]->forward(x, /*train=*/false);
       continue;
     }
-    const bool protect = g != nullptr && !g->empty();
-    x = protect ? layers_[i]->forward_abft(x, *g, check)
-                : layers_[i]->forward(x, /*train=*/false);
+    // A conv runs as one pass with the BatchNorm and ReLU that directly
+    // follow it. The BatchNorm joins when a folded checksum covers the
+    // pair, or when neither is checked. The ReLU joins when the conv is
+    // checked or the ReLU is not: its range guard fails only on a NaN
+    // output, and a NaN the conv's store produces already fails the
+    // conv's column check, so the fused pass gives the same verdict.
+    auto* conv = static_cast<Conv2D*>(layers_[i].get());
+    std::size_t next = i + 1;
+    const BatchNorm* bn = nullptr;
+    const bool next_unchecked = checked_child(golden, next) == nullptr;
+    if (foldable_conv_bn(layers_, i) &&
+        (g != nullptr ? g->form == AbftForm::folded : next_unchecked)) {
+      bn = static_cast<const BatchNorm*>(layers_[next].get());
+      ++next;
+    }
+    const bool relu = next < layers_.size() &&
+                      layers_[next]->kind() == "relu" &&
+                      (g != nullptr || checked_child(golden, next) == nullptr);
+    if (relu) ++next;
+    x = conv->forward_fused(x, bn, relu, g, check);
+    i = next - 1;
   }
   return x;
 }
@@ -177,16 +214,13 @@ ResidualBlock::ResidualBlock(std::unique_ptr<Sequential> body,
 }
 
 Tensor ResidualBlock::forward(const Tensor& input, bool train) {
+  if (!train) return infer(input, nullptr, nullptr);
   Tensor main = body_->forward(input, train);
   Tensor shortcut =
       projection_ ? projection_->forward(input, train) : input;
-  if (main.shape() != shortcut.shape()) {
-    throw std::invalid_argument(
-        "ResidualBlock: body/shortcut shape mismatch " +
-        main.shape().to_string() + " vs " + shortcut.shape().to_string());
-  }
+  check_same_shape(main, shortcut);
   main += shortcut;
-  if (train) cached_sum_ = main;
+  cached_sum_ = main;
   // Post-add ReLU, as in the original ResNet basic block.
   for (std::int64_t i = 0; i < main.numel(); ++i) {
     if (main[i] < 0.0F) main[i] = 0.0F;
@@ -205,14 +239,13 @@ AbftChecksum ResidualBlock::abft_checksum() const {
 Tensor ResidualBlock::forward_abft(const Tensor& input,
                                    const AbftChecksum& golden,
                                    AbftLayerCheck* check) {
-  const AbftChecksum* body_golden =
-      golden.children.size() > 0 && !golden.children[0].empty()
-          ? &golden.children[0]
-          : nullptr;
-  const AbftChecksum* proj_golden =
-      golden.children.size() > 1 && !golden.children[1].empty()
-          ? &golden.children[1]
-          : nullptr;
+  return infer(input, &golden, check);
+}
+
+Tensor ResidualBlock::infer(const Tensor& input, const AbftChecksum* golden,
+                            AbftLayerCheck* check) {
+  const AbftChecksum* body_golden = checked_child(golden, 0);
+  const AbftChecksum* proj_golden = checked_child(golden, 1);
   Tensor main = body_golden ? body_->forward_abft(input, *body_golden, check)
                             : body_->forward(input, false);
   Tensor shortcut =
@@ -220,18 +253,24 @@ Tensor ResidualBlock::forward_abft(const Tensor& input,
                          ? projection_->forward_abft(input, *proj_golden, check)
                          : projection_->forward(input, false))
                   : input;
-  if (main.shape() != shortcut.shape()) {
-    throw std::invalid_argument(
-        "ResidualBlock: body/shortcut shape mismatch " +
-        main.shape().to_string() + " vs " + shortcut.shape().to_string());
-  }
-  main += shortcut;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0F) main[i] = 0.0F;
-  }
-  // The add + post-add ReLU are not GEMMs; a finiteness guard keeps a
+  check_same_shape(main, shortcut);
+  // The add and the post-add ReLU in one pass. They are not GEMMs; when
+  // the block is checked, a finiteness guard in the same pass keeps a
   // corrupted shortcut from passing Inf/NaN downstream silently.
-  abft_guard_finite(main.data(), main.numel(), check);
+  float* m = main.data();
+  const float* sc = shortcut.data();
+  bool finite = true;
+  for (std::int64_t i = 0; i < main.numel(); ++i) {
+    float v = m[i];
+    v += sc[i];
+    v = v < 0.0F ? 0.0F : v;
+    finite &= std::isfinite(v);
+    m[i] = v;
+  }
+  if (golden != nullptr) {
+    check->checked = true;
+    if (!finite) check->ok = false;
+  }
   return main;
 }
 

@@ -38,6 +38,13 @@ class Sequential final : public Layer {
   }
 
  private:
+  /// Eval forward, verified against `golden` when it is set. Each conv
+  /// runs as one Conv2D::forward_fused pass with the BatchNorm and ReLU
+  /// that directly follow it; outputs and verdicts are those of running
+  /// the layers one by one.
+  Tensor infer(const Tensor& input, const AbftChecksum* golden,
+               AbftLayerCheck* check);
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
@@ -64,7 +71,15 @@ class ResidualBlock final : public Layer {
   void save(BinaryWriter& w) const override;
   static std::unique_ptr<ResidualBlock> load(BinaryReader& r);
 
+  Sequential& body() { return *body_; }
+  /// The 1x1 projection shortcut; null for an identity shortcut.
+  Conv2D* projection() { return projection_.get(); }
+
  private:
+  /// Eval forward, verified against `golden` when it is set.
+  Tensor infer(const Tensor& input, const AbftChecksum* golden,
+               AbftLayerCheck* check);
+
   std::unique_ptr<Sequential> body_;
   std::unique_ptr<Conv2D> projection_;  // nullptr => identity shortcut
   Tensor cached_sum_;                   // pre-ReLU sum, for backward
@@ -91,6 +106,10 @@ class DenseBlock final : public Layer {
                       AbftLayerCheck* check) override;
   void save(BinaryWriter& w) const override;
   static std::unique_ptr<DenseBlock> load(BinaryReader& r);
+
+  const std::vector<std::unique_ptr<Sequential>>& units() const {
+    return units_;
+  }
 
  private:
   std::vector<std::unique_ptr<Sequential>> units_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "nn/batchnorm.h"
 #include "nn/forward_engine.h"
 #include "nn/gemm.h"
 #include "nn/init.h"
@@ -53,7 +54,44 @@ Shape Conv2D::output_shape(const Shape& in) const {
 }
 
 Tensor Conv2D::forward(const Tensor& input, bool train) {
-  return forward_impl(input, train, nullptr, nullptr);
+  if (!train) return forward_fused(input, nullptr, false, nullptr, nullptr);
+  const ConvGeometry geo = geometry(input.shape());
+  const std::int64_t batch = input.shape()[0];
+  const std::int64_t spatial = geo.out_h() * geo.out_w();
+  const std::int64_t col_size = geo.patch_size() * spatial;
+  const std::int64_t in_per_sample = in_c_ * geo.in_h * geo.in_w;
+  Tensor out(Shape{batch, out_c_, geo.out_h(), geo.out_w()});
+  // Backward reads every sample's column matrix, so training keeps them.
+  cached_in_shape_ = input.shape();
+  cached_cols_.resize(static_cast<std::size_t>(batch * col_size));
+  for (std::int64_t n = 0; n < batch; ++n) {
+    float* col = cached_cols_.data() + n * col_size;
+    im2col_fast(input.data() + n * in_per_sample, geo, col);
+    gemm_bias(weight_.data(), bias_.data(), col,
+              out.data() + n * out_c_ * spatial, out_c_, geo.patch_size(),
+              spatial);
+  }
+  return out;
+}
+
+Tensor Conv2D::forward_fused(const Tensor& input, const BatchNorm* bn,
+                             bool relu, const AbftChecksum* golden,
+                             AbftLayerCheck* check) {
+  const ConvGeometry geo = geometry(input.shape());
+  ConvEpilogue epilogue;
+  if (bn != nullptr) {
+    if (bn->channels() != out_c_) {
+      throw std::invalid_argument("Conv2D::forward_fused: BatchNorm width " +
+                                  std::to_string(bn->channels()) +
+                                  " != out_channels");
+    }
+    epilogue = bn->eval_epilogue();
+  }
+  epilogue.relu = relu;
+  Tensor out(Shape{input.shape()[0], out_c_, geo.out_h(), geo.out_w()});
+  conv_forward(input.data(), input.shape()[0], geo, weight_.data(),
+               bias_.data(), out_c_, epilogue, golden, check, out.data());
+  return out;
 }
 
 AbftChecksum Conv2D::abft_checksum() const {
@@ -69,8 +107,8 @@ AbftChecksum Conv2D::abft_checksum() const {
 
 Tensor Conv2D::forward_abft(const Tensor& input, const AbftChecksum& golden,
                             AbftLayerCheck* check) {
-  if (golden.empty()) return forward_impl(input, false, nullptr, nullptr);
-  return forward_impl(input, false, &golden, check);
+  return forward_fused(input, nullptr, false,
+                       golden.empty() ? nullptr : &golden, check);
 }
 
 AbftChecksum Conv2D::abft_checksum_folded(const Tensor& scale,
@@ -96,69 +134,6 @@ AbftChecksum Conv2D::abft_checksum_folded(const Tensor& scale,
                        static_cast<double>(shift[oc]);
   }
   return golden;
-}
-
-Tensor Conv2D::forward_folded(const Tensor& input, Layer& bn,
-                              const AbftChecksum& golden,
-                              AbftLayerCheck* check) {
-  // The batch's column matrices, [N, patch, out_h*out_w]. The buffer is
-  // reused across calls, since its contents are rewritten, not zeroed; one
-  // grown past a serving batch by an offline pass is released afterwards.
-  constexpr std::size_t kRetainedFloats = std::size_t{1} << 18;
-  thread_local std::vector<float> cols;
-  const Tensor conv_out = forward_impl(input, false, nullptr, nullptr, &cols);
-  Tensor out = bn.forward(conv_out, /*train=*/false);
-  abft_verify_folded(cols, out, golden, check);
-  if (cols.capacity() > kRetainedFloats) std::vector<float>().swap(cols);
-  return out;
-}
-
-Tensor Conv2D::forward_impl(const Tensor& input, bool train,
-                            const AbftChecksum* golden, AbftLayerCheck* check,
-                            std::vector<float>* save_cols) {
-  const ConvGeometry geo = geometry(input.shape());
-  const std::int64_t batch = input.shape()[0];
-  const std::int64_t oh = geo.out_h();
-  const std::int64_t ow = geo.out_w();
-  const std::int64_t spatial = oh * ow;
-  const std::int64_t patch = geo.patch_size();
-  const std::int64_t col_size = patch * spatial;
-
-  Tensor out(Shape{batch, out_c_, oh, ow});
-  // Where each sample's column matrix lives: in the training cache or the
-  // caller's save buffer when they keep it, else in a per-thread scratch
-  // buffer reused across calls. A 1x1, stride-1, unpadded conv's column
-  // matrix is the image itself and needs no buffer at all.
-  std::vector<float>* keep = train ? &cached_cols_ : save_cols;
-  thread_local std::vector<float> scratch;
-  if (train) cached_in_shape_ = input.shape();
-  if (keep != nullptr) {
-    keep->resize(static_cast<std::size_t>(batch * col_size));
-  } else if (scratch.size() < static_cast<std::size_t>(col_size)) {
-    scratch.resize(static_cast<std::size_t>(col_size));
-  }
-  const bool identity = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-
-  const std::int64_t in_per_sample = in_c_ * geo.in_h * geo.in_w;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const float* image = input.data() + n * in_per_sample;
-    const float* col = image;
-    if (keep != nullptr || !identity) {
-      float* buf =
-          keep != nullptr ? keep->data() + n * col_size : scratch.data();
-      im2col_fast(image, geo, buf);
-      col = buf;
-    }
-    // out[oc, y*x] = bias[oc] + W[oc, patch] * col[patch, y*x]
-    float* dst = out.data() + n * out_c_ * spatial;
-    gemm_bias(weight_.data(), bias_.data(), col, dst, out_c_, patch, spatial);
-    if (golden) {
-      // Verify against the very column matrix the GEMM consumed; re-running
-      // im2col for the check would double the layer's memory traffic.
-      abft_verify_cols(col, dst, out_c_, patch, spatial, *golden, check);
-    }
-  }
-  return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {

@@ -1,4 +1,6 @@
-// Conv2D: square-kernel 2-D convolution lowered to GEMM via im2col.
+// Conv2D: square-kernel 2-D convolution lowered to GEMM. Inference runs
+// the one-pass engine (conv_forward in forward_engine.h); training lowers
+// through im2col and keeps the column matrix for backward.
 #pragma once
 
 #include <vector>
@@ -7,6 +9,8 @@
 #include "nn/layer.h"
 
 namespace pgmr::nn {
+
+class BatchNorm;
 
 /// 2-D convolution with bias. Weights are stored [out_c, in_c * k * k].
 class Conv2D final : public Layer {
@@ -39,13 +43,16 @@ class Conv2D final : public Layer {
   AbftChecksum abft_checksum_folded(const Tensor& scale,
                                     const Tensor& shift) const;
 
-  /// Eval forward of this conv followed by `bn` (its downstream
-  /// BatchNorm), verified as one folded identity (`golden` from
-  /// abft_checksum_folded) on bn's output against the column matrices the
-  /// conv's GEMM consumed. Returns bn's output, bit-identical to
-  /// bn.forward(forward(input, false), false).
-  Tensor forward_folded(const Tensor& input, Layer& bn,
-                        const AbftChecksum& golden, AbftLayerCheck* check);
+  /// Eval forward of this conv with the layers that directly follow it
+  /// applied in its store: `bn` (may be null; its width must be
+  /// out_channels) and then a ReLU when `relu`. Bit-identical to running
+  /// forward(input, false), bn->forward(., false) and ReLU::forward in
+  /// turn. With `golden` set, the Huang–Abraham check runs in the same
+  /// pass on the stored values before the ReLU and is aggregated into
+  /// `check`: a gemm checksum (abft_checksum) verifies the conv output, a
+  /// folded one (abft_checksum_folded) bn's output.
+  Tensor forward_fused(const Tensor& input, const BatchNorm* bn, bool relu,
+                       const AbftChecksum* golden, AbftLayerCheck* check);
 
   void save(BinaryWriter& w) const override;
 
@@ -54,12 +61,12 @@ class Conv2D final : public Layer {
 
   std::int64_t in_channels() const { return in_c_; }
   std::int64_t out_channels() const { return out_c_; }
+  std::int64_t kernel() const { return kernel_; }
+  std::int64_t stride() const { return stride_; }
+  std::int64_t pad() const { return pad_; }
 
  private:
   ConvGeometry geometry(const Shape& in) const;
-  Tensor forward_impl(const Tensor& input, bool train,
-                      const AbftChecksum* golden, AbftLayerCheck* check,
-                      std::vector<float>* save_cols = nullptr);
 
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Tensor weight_;       // [out_c, in_c*k*k]

@@ -1,8 +1,12 @@
 #include "nn/forward_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
@@ -14,9 +18,12 @@ namespace {
 // ---- vector tier, fixed at compile time ----------------------------------
 //
 // Vec is a GCC vector type in every tier (__m512 and __m256 are defined as
-// such), so `acc += w * b` below is contracted into an FMA under exactly
+// such), so `acc + w * b` below is contracted into an FMA under exactly
 // the rules that contract the scalar `crow[j] += av * brow[j]` of
 // gemm_accumulate: the same compiler, flags and expression shape decide.
+// DVec holds half a Vec's lanes widened to double, for the ABFT sums: a
+// float-times-float product is exact in double, so whether the check's
+// multiply-adds are contracted does not change its bits.
 
 #if defined(__AVX512F__)
 using Vec = __m512;
@@ -30,6 +37,32 @@ inline Vec load_part(const float* p, int n) {
 }
 inline void store_part(float* p, Vec v, int n) {
   _mm512_mask_storeu_ps(p, lanes(n), v);
+}
+inline Vec load_mask(const float* base, std::int64_t at, std::uint32_t bits) {
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits), base + at);
+}
+/// base[idx[l]] in the first n lanes whose idx[l] >= 0, zero elsewhere.
+inline Vec gather(const float* base, const std::int32_t* idx, int n) {
+  const __m512i at = _mm512_maskz_loadu_epi32(lanes(n), idx);
+  const __mmask16 live =
+      _mm512_mask_cmpge_epi32_mask(lanes(n), at, _mm512_setzero_si512());
+  return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live, at, base, 4);
+}
+using DVec = __m512d;
+constexpr int kHalf = 8;
+inline DVec dsplat(double x) { return _mm512_set1_pd(x); }
+inline DVec dload(const double* p) { return _mm512_loadu_pd(p); }
+inline void dstore(double* p, DVec v) { _mm512_storeu_pd(p, v); }
+// The masked forms with a full mask: the unmasked intrinsics start from an
+// undefined vector, which GCC 12 reports as maybe-uninitialized.
+inline DVec widen_half(Vec v, int half) {
+  const __m512d halves = _mm512_castps_pd(v);
+  const __m256d h = half == 0 ? _mm512_maskz_extractf64x4_pd(0xF, halves, 0)
+                              : _mm512_maskz_extractf64x4_pd(0xF, halves, 1);
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_castpd_ps(h));
+}
+inline DVec widen_at(const float* p) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
 }
 #elif defined(__AVX2__)
 using Vec = __m256;
@@ -46,6 +79,31 @@ inline Vec load_part(const float* p, int n) {
 }
 inline void store_part(float* p, Vec v, int n) {
   _mm256_maskstore_ps(p, lanes(n), v);
+}
+inline Vec gather(const float* base, const std::int32_t* idx, int n) {
+  const __m256i at = _mm256_maskload_epi32(idx, lanes(n));
+  const __m256i live =
+      _mm256_and_si256(lanes(n), _mm256_cmpgt_epi32(at, _mm256_set1_epi32(-1)));
+  return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), base, at,
+                                  _mm256_castsi256_ps(live), 4);
+}
+inline Vec load_mask(const float* base, std::int64_t at, std::uint32_t bits) {
+  const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i set = _mm256_and_si256(
+      _mm256_set1_epi32(static_cast<int>(bits)), bit);
+  return _mm256_maskload_ps(base + at, _mm256_cmpeq_epi32(set, bit));
+}
+using DVec = __m256d;
+constexpr int kHalf = 4;
+inline DVec dsplat(double x) { return _mm256_set1_pd(x); }
+inline DVec dload(const double* p) { return _mm256_loadu_pd(p); }
+inline void dstore(double* p, DVec v) { _mm256_storeu_pd(p, v); }
+inline DVec widen_half(Vec v, int half) {
+  return _mm256_cvtps_pd(half == 0 ? _mm256_castps256_ps128(v)
+                                   : _mm256_extractf128_ps(v, 1));
+}
+inline DVec widen_at(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 #else
 constexpr int kLanes = 4;
@@ -65,63 +123,218 @@ inline Vec load_part(const float* p, int n) {
 inline void store_part(float* p, Vec v, int n) {
   std::memcpy(p, &v, static_cast<std::size_t>(n) * sizeof(float));
 }
+inline Vec load_mask(const float* base, std::int64_t at, std::uint32_t bits) {
+  Vec v{};
+  for (int l = 0; l < kLanes; ++l) {
+    if (((bits >> l) & 1U) != 0U) v[l] = base[at + l];
+  }
+  return v;
+}
+inline Vec gather(const float* base, const std::int32_t* idx, int n) {
+  Vec v{};
+  for (int l = 0; l < n; ++l) {
+    if (idx[l] >= 0) v[l] = base[idx[l]];
+  }
+  return v;
+}
+constexpr int kHalf = 2;
+using DVec = double __attribute__((vector_size(kHalf * sizeof(double))));
+inline DVec dsplat(double x) { return DVec{x, x}; }
+inline DVec dload(const double* p) {
+  DVec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void dstore(double* p, DVec v) { std::memcpy(p, &v, sizeof v); }
+inline DVec widen_half(Vec v, int half) {
+  return DVec{v[2 * half], v[2 * half + 1]};
+}
+inline DVec widen_at(const float* p) { return DVec{p[0], p[1]}; }
 #endif
 
-// ---- register-blocked GEMM ------------------------------------------------
+// ---- register-blocked tiles ----------------------------------------------
 
 /// Output rows (channels) per tile. 6 divides every conv width in the zoo
 /// (6, 12, 24) and keeps 6 x 2 accumulators plus operands within 16
 /// registers in the AVX2 and portable tiers.
 constexpr int kTileRows = 6;
 
-/// One tile of C: MR rows x NV vectors of columns, the last vector holding
-/// `tail` lanes when kPartial. Each accumulator starts from the row's bias
-/// and takes the k terms in ascending order, skipping a zero weight as the
-/// oracle's `if (av == 0.0F) continue;` does.
-template <int MR, int NV, bool kPartial>
-void tile(const float* a, const float* bias, const float* b, float* c,
-          std::int64_t k, std::int64_t n, int tail) {
+/// Output columns per B panel: two vectors.
+constexpr int kPanelCols = 2 * kLanes;
+
+/// One band of tiles over one B panel. The panel holds K rows of
+/// NV·kLanes floats, zero past the block's `cols` valid columns.
+struct Band {
+  const float* a;      ///< the band's first weight row, row-major [rows, k]
+  const float* bias;   ///< the band's biases
+  std::int64_t row0;   ///< output channel of the band's first row
+  std::int64_t k;
+  const float* panel;
+  const ConvEpilogue* epilogue;
+  float* c;            ///< C[row0, j0]
+  std::int64_t ldc;
+  int cols;
+  const float* colsum;  ///< golden column sums; null when unchecked
+  double bias_sum;
+  double* expected;     ///< per column of the block, written by band 0
+  double* actual;       ///< per column of the block, summed band by band
+};
+
+/// One tile: MR rows x NV vectors of columns. Each accumulator starts from
+/// the row's bias and takes the k terms in ascending order, skipping a zero
+/// weight as the oracle's `if (av == 0.0F) continue;` does. kExpected adds
+/// the golden column sums as one more row, in double, from bias_sum over
+/// ascending p with abft_verify_cols' zero skip. The store applies the
+/// epilogue, adds each value after the BatchNorm (before the ReLU) to its
+/// column's double sum in row order, and writes the valid lanes.
+template <int MR, int NV, bool kExpected>
+void tile(const Band& t) {
   Vec acc[MR][NV];
   for (int r = 0; r < MR; ++r) {
-    const Vec start = splat(bias[r]);
+    const Vec start = splat(t.bias[r]);
     for (int v = 0; v < NV; ++v) acc[r][v] = start;
   }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float* brow = b + p * n;
-    Vec bv[NV];
+  DVec expected[NV][2] = {};
+  if constexpr (kExpected) {
     for (int v = 0; v < NV; ++v) {
-      bv[v] = (kPartial && v == NV - 1) ? load_part(brow + v * kLanes, tail)
-                                        : load(brow + v * kLanes);
+      expected[v][0] = dsplat(t.bias_sum);
+      expected[v][1] = expected[v][0];
+    }
+  }
+  constexpr int kWidth = NV * kLanes;
+  const Vec zero = splat(0.0F);
+  for (std::int64_t p = 0; p < t.k; ++p) {
+    const float* brow = t.panel + p * kWidth;
+    Vec bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = load(brow + v * kLanes);
+    if constexpr (kExpected) {
+      const float s = t.colsum[p];
+      if (s != 0.0F) {
+        const DVec sv = dsplat(s);
+        for (int v = 0; v < NV; ++v) {
+          expected[v][0] += sv * widen_at(brow + v * kLanes);
+          expected[v][1] += sv * widen_at(brow + v * kLanes + kHalf);
+        }
+      }
     }
     for (int r = 0; r < MR; ++r) {
-      const float w = a[r * k + p];
-      if (w == 0.0F) continue;
-      const Vec wv = splat(w);
-      for (int v = 0; v < NV; ++v) acc[r][v] += wv * bv[v];
+      // The skip as a select rather than a branch: every lane keeps its
+      // accumulator when the weight is zero.
+      const Vec wv = splat(t.a[r * t.k + p]);
+      const auto live = wv != zero;
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = live ? acc[r][v] + wv * bv[v] : acc[r][v];
+      }
+    }
+  }
+  if constexpr (kExpected) {
+    for (int v = 0; v < NV; ++v) {
+      dstore(t.expected + v * kLanes, expected[v][0]);
+      dstore(t.expected + v * kLanes + kHalf, expected[v][1]);
+    }
+  }
+
+  const ConvEpilogue& e = *t.epilogue;
+  DVec actual[NV][2] = {};
+  if (t.actual != nullptr) {
+    for (int v = 0; v < NV; ++v) {
+      actual[v][0] = dload(t.actual + v * kLanes);
+      actual[v][1] = dload(t.actual + v * kLanes + kHalf);
     }
   }
   for (int r = 0; r < MR; ++r) {
-    float* crow = c + r * n;
+    const std::int64_t ch = t.row0 + r;
+    Vec gamma{}, beta{}, mean{}, std_dev{};
+    if (e.bn_gamma != nullptr) {
+      gamma = splat(e.bn_gamma[ch]);
+      beta = splat(e.bn_beta[ch]);
+      mean = splat(e.bn_mean[ch]);
+      std_dev = splat(std::sqrt(e.bn_var[ch] + e.bn_eps));
+    }
+    float* crow = t.c + r * t.ldc;
     for (int v = 0; v < NV; ++v) {
-      if (kPartial && v == NV - 1) {
-        store_part(crow + v * kLanes, acc[r][v], tail);
-      } else {
-        store(crow + v * kLanes, acc[r][v]);
+      Vec y = acc[r][v];
+      if (e.bn_gamma != nullptr) y = gamma * ((y - mean) / std_dev) + beta;
+      if (t.actual != nullptr) {
+        actual[v][0] += widen_half(y, 0);
+        actual[v][1] += widen_half(y, 1);
       }
+      if (e.relu) y = y < zero ? zero : y;
+      const int valid = t.cols - v * kLanes;
+      if (valid >= kLanes) {
+        store(crow + v * kLanes, y);
+      } else {
+        store_part(crow + v * kLanes, y, valid);
+      }
+    }
+  }
+  if (t.actual != nullptr) {
+    for (int v = 0; v < NV; ++v) {
+      dstore(t.actual + v * kLanes, actual[v][0]);
+      dstore(t.actual + v * kLanes + kHalf, actual[v][1]);
     }
   }
 }
 
-template <int NV, bool kPartial>
-void tile_rows(int rows, const float* a, const float* bias, const float* b,
-               float* c, std::int64_t k, std::int64_t n, int tail) {
+template <int NV, bool kExpected>
+void band_rows(int rows, const Band& t) {
   switch (rows) {
-    case 6: tile<6, NV, kPartial>(a, bias, b, c, k, n, tail); break;
-    case 5: tile<5, NV, kPartial>(a, bias, b, c, k, n, tail); break;
-    case 4: tile<4, NV, kPartial>(a, bias, b, c, k, n, tail); break;
-    case 3: tile<3, NV, kPartial>(a, bias, b, c, k, n, tail); break;
-    case 2: tile<2, NV, kPartial>(a, bias, b, c, k, n, tail); break;
-    default: tile<1, NV, kPartial>(a, bias, b, c, k, n, tail); break;
+    case 6: tile<6, NV, kExpected>(t); break;
+    case 5: tile<5, NV, kExpected>(t); break;
+    case 4: tile<4, NV, kExpected>(t); break;
+    case 3: tile<3, NV, kExpected>(t); break;
+    case 2: tile<2, NV, kExpected>(t); break;
+    default: tile<1, NV, kExpected>(t); break;
+  }
+}
+
+/// C[M,N] = epilogue(bias + A·B) with B delivered a panel at a time by
+/// `pack(panel, j0, cols, width)`: K rows of `width` floats holding B's
+/// columns [j0, j0 + cols), zero past `cols`. Each panel is packed once
+/// and swept by every band of kTileRows rows. With `golden` set the column
+/// check runs in the same tiles and is folded into `check` per column.
+template <class Pack>
+void run_tiles(const float* a, const float* bias, std::int64_t m,
+               std::int64_t k, std::int64_t n, const Pack& pack,
+               const ConvEpilogue& epilogue, const AbftChecksum* golden,
+               AbftLayerCheck* check, float* c) {
+  thread_local std::vector<float> panel;
+  const auto panel_size = static_cast<std::size_t>(k * kPanelCols);
+  if (panel.size() < panel_size) panel.resize(panel_size);
+  double expected[kPanelCols];
+  double actual[kPanelCols];
+  if (golden != nullptr) check->checked = true;
+  Band t{};
+  t.k = k;
+  t.panel = panel.data();
+  t.epilogue = &epilogue;
+  t.ldc = n;
+  t.colsum = golden != nullptr ? golden->colsum.data() : nullptr;
+  t.bias_sum = golden != nullptr ? golden->bias_sum : 0.0;
+  t.expected = expected;
+  t.actual = golden != nullptr ? actual : nullptr;
+  for (std::int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    t.cols = static_cast<int>(std::min<std::int64_t>(kPanelCols, n - j0));
+    const int nv = t.cols > kLanes ? 2 : 1;
+    pack(panel.data(), j0, t.cols, nv * kLanes);
+    if (golden != nullptr) std::fill(actual, actual + kPanelCols, 0.0);
+    for (std::int64_t i = 0; i < m; i += kTileRows) {
+      const int rows =
+          static_cast<int>(std::min<std::int64_t>(kTileRows, m - i));
+      t.a = a + i * k;
+      t.bias = bias + i;
+      t.row0 = i;
+      t.c = c + i * n + j0;
+      const bool first = golden != nullptr && i == 0;
+      if (nv == 2) {
+        first ? band_rows<2, true>(rows, t) : band_rows<2, false>(rows, t);
+      } else {
+        first ? band_rows<1, true>(rows, t) : band_rows<1, false>(rows, t);
+      }
+    }
+    if (golden != nullptr) {
+      abft_fold_cols(actual, expected, t.cols, check);
+    }
   }
 }
 
@@ -189,6 +402,154 @@ void zero_run(float* dst, std::int64_t n) {
   }
 }
 
+// ---- B panels --------------------------------------------------------------
+
+/// Packs columns [j0, j0 + cols) of a conv's column matrix (the rows
+/// im2col would write, in its (channel, kh, kw) order) straight from one
+/// image into a panel of `width`-float rows, zero past `cols`.
+class ImagePanels {
+ public:
+  explicit ImagePanels(const ConvGeometry& geo)
+      : geo_(geo),
+        out_w_(geo.out_w()),
+        n_(geo.out_h() * geo.out_w()),
+        same_rows_(geo.stride == 1 && geo.out_w() == geo.in_w) {
+    if (same_rows_) {
+      build_masks();
+    } else {
+      build_index();
+    }
+  }
+
+  void set_image(const float* image) { image_ = image; }
+
+  void operator()(float* panel, std::int64_t j0, int cols, int width) const {
+    if (same_rows_) {
+      pack_shifted(panel, j0, width);
+    } else {
+      pack_gathered(panel, j0, cols, width);
+    }
+  }
+
+ private:
+  /// Stride 1 with out_w == in_w ("same" padding, or a 1x1 conv): column j
+  /// of patch row (c, kh, kw) is image element j + (kh-pad)·in_w + kw-pad
+  /// of plane c wherever that pixel lies inside the image. So each panel
+  /// vector is one masked load, with the mask depending on (kh, kw) and the
+  /// column group only: the lanes whose output row keeps kh inside the
+  /// image (one range of columns) and whose output column keeps kw inside
+  /// it (a pattern with period out_w). Lanes past n_ have a zero mask.
+  void build_masks() {
+    const std::int64_t k = geo_.kernel;
+    groups_ = (n_ + kLanes - 1) / kLanes;
+    std::vector<std::uint32_t> cols(static_cast<std::size_t>(k * groups_));
+    for (std::int64_t kw = 0; kw < k; ++kw) {
+      const std::int64_t dx = kw - geo_.pad;
+      std::int64_t x = 0;
+      for (std::int64_t g = 0; g < groups_; ++g) {
+        std::uint32_t bits = 0;
+        for (int l = 0; l < kLanes; ++l) {
+          if (x + dx >= 0 && x + dx < geo_.in_w) bits |= 1U << l;
+          if (++x == out_w_) x = 0;
+        }
+        cols[static_cast<std::size_t>(kw * groups_ + g)] = bits;
+      }
+    }
+    masks_.resize(static_cast<std::size_t>(k * k * groups_));
+    for (std::int64_t kh = 0; kh < k; ++kh) {
+      // Output rows y with 0 <= y + kh - pad < in_h, as a column range.
+      const std::int64_t dy = kh - geo_.pad;
+      const std::int64_t first = std::max<std::int64_t>(0, -dy) * out_w_;
+      const std::int64_t end =
+          std::min<std::int64_t>(geo_.out_h(), geo_.in_h - dy) * out_w_;
+      for (std::int64_t g = 0; g < groups_; ++g) {
+        const std::int64_t lo =
+            std::clamp<std::int64_t>(first - g * kLanes, 0, kLanes);
+        const std::int64_t hi =
+            std::clamp<std::int64_t>(end - g * kLanes, 0, kLanes);
+        const std::uint32_t rows =
+            hi > lo ? ((1U << hi) - 1U) & ~((1U << lo) - 1U) : 0U;
+        for (std::int64_t kw = 0; kw < k; ++kw) {
+          masks_[static_cast<std::size_t>((kh * k + kw) * groups_ + g)] =
+              rows & cols[static_cast<std::size_t>(kw * groups_ + g)];
+        }
+      }
+    }
+  }
+
+  void pack_shifted(float* panel, std::int64_t j0, int width) const {
+    const std::int64_t k = geo_.kernel;
+    const std::int64_t plane = geo_.in_h * geo_.in_w;
+    const std::int64_t group = j0 / kLanes;
+    float* dst = panel;
+    for (std::int64_t c = 0; c < geo_.in_channels; ++c) {
+      const float* src = image_ + c * plane;
+      for (std::int64_t kh = 0; kh < k; ++kh) {
+        for (std::int64_t kw = 0; kw < k; ++kw, dst += width) {
+          const std::int64_t shift =
+              j0 + (kh - geo_.pad) * geo_.in_w + kw - geo_.pad;
+          const std::uint32_t* bits =
+              masks_.data() + (kh * k + kw) * groups_ + group;
+          for (int v = 0; v * kLanes < width; ++v) {
+            store(dst + v * kLanes,
+                  load_mask(src, shift + v * kLanes, bits[v]));
+          }
+        }
+      }
+    }
+  }
+
+  /// Any other geometry (a stride above 1, "valid" padding): column j of
+  /// patch row (c, kh, kw) is pixel index_[(kh·k + kw)·n + j] of plane c,
+  /// or padding where that index is -1. Each panel vector is one gather.
+  void build_index() {
+    const std::int64_t k = geo_.kernel;
+    const std::int64_t s = geo_.stride;
+    index_.resize(static_cast<std::size_t>(k * k * n_));
+    std::int32_t* at = index_.data();
+    for (std::int64_t kh = 0; kh < k; ++kh) {
+      for (std::int64_t kw = 0; kw < k; ++kw) {
+        for (std::int64_t y = 0; y < geo_.out_h(); ++y) {
+          const std::int64_t iy = y * s + kh - geo_.pad;
+          for (std::int64_t x = 0; x < out_w_; ++x) {
+            const std::int64_t ix = x * s + kw - geo_.pad;
+            const bool inside =
+                iy >= 0 && iy < geo_.in_h && ix >= 0 && ix < geo_.in_w;
+            *at++ = inside ? static_cast<std::int32_t>(iy * geo_.in_w + ix)
+                           : -1;
+          }
+        }
+      }
+    }
+  }
+
+  void pack_gathered(float* panel, std::int64_t j0, int cols,
+                     int width) const {
+    const std::int64_t taps = geo_.kernel * geo_.kernel;
+    const std::int64_t plane = geo_.in_h * geo_.in_w;
+    float* dst = panel;
+    for (std::int64_t c = 0; c < geo_.in_channels; ++c) {
+      const float* src = image_ + c * plane;
+      for (std::int64_t tap = 0; tap < taps; ++tap, dst += width) {
+        const std::int32_t* idx = index_.data() + tap * n_ + j0;
+        for (int v = 0; v * kLanes < width; ++v) {
+          const int valid = std::clamp(cols - v * kLanes, 0, kLanes);
+          store(dst + v * kLanes, gather(src, idx + v * kLanes, valid));
+        }
+      }
+    }
+  }
+
+  ConvGeometry geo_;
+  std::int64_t out_w_;
+  std::int64_t n_;
+  bool same_rows_;
+  std::int64_t groups_ = 0;
+  const float* image_ = nullptr;
+  std::vector<std::uint32_t> masks_;
+  std::vector<std::int32_t> index_;
+};
+
 }  // namespace
 
 void im2col_fast(const float* image, const ConvGeometry& geo, float* col) {
@@ -245,23 +606,41 @@ void im2col_fast(const float* image, const ConvGeometry& geo, float* col) {
 
 void gemm_bias(const float* a, const float* bias, const float* b, float* c,
                std::int64_t m, std::int64_t k, std::int64_t n) {
-  // Bands of up to kTileRows rows of C, each swept across all N columns.
-  for (std::int64_t i = 0; i < m; i += kTileRows) {
-    const int rows = static_cast<int>(std::min<std::int64_t>(kTileRows, m - i));
-    const float* band_a = a + i * k;
-    const float* band_bias = bias + i;
-    float* band_c = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
-      tile_rows<2, false>(rows, band_a, band_bias, b + j, band_c + j, k, n, 0);
+  const auto copy_panel = [b, k, n](float* panel, std::int64_t j0, int cols,
+                                    int width) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float* src = b + p * n + j0;
+      float* dst = panel + p * width;
+      for (int v = 0; v * kLanes < width; ++v) {
+        const int valid = std::clamp(cols - v * kLanes, 0, kLanes);
+        const float* from = src + v * kLanes;
+        store(dst + v * kLanes,
+              valid == kLanes ? load(from) : load_part(from, valid));
+      }
     }
-    for (; j + kLanes <= n; j += kLanes) {
-      tile_rows<1, false>(rows, band_a, band_bias, b + j, band_c + j, k, n, 0);
-    }
-    if (j < n) {
-      tile_rows<1, true>(rows, band_a, band_bias, b + j, band_c + j, k, n,
-                         static_cast<int>(n - j));
-    }
+  };
+  run_tiles(a, bias, m, k, n, copy_panel, ConvEpilogue{}, nullptr, nullptr, c);
+}
+
+void conv_forward(const float* input, std::int64_t batch,
+                  const ConvGeometry& geo, const float* weight,
+                  const float* bias, std::int64_t out_c,
+                  const ConvEpilogue& epilogue, const AbftChecksum* golden,
+                  AbftLayerCheck* check, float* out) {
+  const std::int64_t n = geo.out_h() * geo.out_w();
+  const std::int64_t k = geo.patch_size();
+  if (golden != nullptr && golden->colsum.numel() != k) {
+    throw std::invalid_argument(
+        "conv_forward: golden checksum has " +
+        std::to_string(golden->colsum.numel()) + " column sums, patch is " +
+        std::to_string(k));
+  }
+  const std::int64_t in_size = geo.in_channels * geo.in_h * geo.in_w;
+  ImagePanels panels(geo);
+  for (std::int64_t s = 0; s < batch; ++s) {
+    panels.set_image(input + s * in_size);
+    run_tiles(weight, bias, out_c, k, n, panels, epilogue, golden, check,
+              out + s * out_c * n);
   }
 }
 

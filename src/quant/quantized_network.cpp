@@ -151,7 +151,9 @@ Tensor QuantizedNetwork::forward(const Tensor& input, AbftCheck* abft) {
       // BatchNorm output (only emitted at kFullBits, where skipping the
       // inter-layer truncation is the identity).
       auto* conv = static_cast<nn::Conv2D*>(layers[l].get());
-      x = conv->forward_folded(x, *layers[l + 1], layer_golden_[l], &check);
+      const auto* bn = static_cast<const nn::BatchNorm*>(layers[l + 1].get());
+      x = conv->forward_fused(x, bn, /*relu=*/false, &layer_golden_[l],
+                              &check);
       if (check.checked) {
         abft->checked = true;
         ++abft->layers_checked;

@@ -101,25 +101,41 @@ const Benchmark& find_benchmark(const std::string& id) {
   throw std::invalid_argument("find_benchmark: unknown benchmark " + id);
 }
 
+namespace {
+
+/// The benchmark's corpus: the train split first, then val and test.
+data::SyntheticSpec benchmark_spec(const Benchmark& bm) {
+  if (bm.dataset_id == "smnist") return data::smnist_spec(5000);
+  if (bm.dataset_id == "scifar") return data::scifar_spec(5000);
+  if (bm.dataset_id == "simagenet") return data::simagenet_spec(6000);
+  throw std::invalid_argument("benchmark_splits: unknown dataset " +
+                              bm.dataset_id);
+}
+
+constexpr std::int64_t kValSize = 1000;
+constexpr std::int64_t kTestSize = 1000;
+
+std::int64_t train_size(const data::SyntheticSpec& spec) {
+  return spec.count - kValSize - kTestSize;
+}
+
+}  // namespace
+
 data::DatasetSplits benchmark_splits(const Benchmark& bm) {
-  data::SyntheticSpec spec;
-  if (bm.dataset_id == "smnist") {
-    spec = data::smnist_spec(5000);
-  } else if (bm.dataset_id == "scifar") {
-    spec = data::scifar_spec(5000);
-  } else if (bm.dataset_id == "simagenet") {
-    spec = data::simagenet_spec(6000);
-  } else {
-    throw std::invalid_argument("benchmark_splits: unknown dataset " +
-                                bm.dataset_id);
-  }
-  const std::int64_t test_n = 1000;
-  const std::int64_t val_n = 1000;
-  // Generated straight into the three splits: a full corpus plus its split
-  // copies would double the memory held while loading.
+  const data::SyntheticSpec spec = benchmark_spec(bm);
+  // The train draws still run, into a scratch image, so val and test keep
+  // their bits; the train images themselves are never held.
   std::vector<data::Dataset> parts = data::generate_synthetic_parts(
-      spec, {spec.count - val_n - test_n, val_n, test_n});
-  return {std::move(parts[0]), std::move(parts[1]), std::move(parts[2])};
+      spec, {kValSize, kTestSize}, train_size(spec));
+  data::DatasetSplits splits;
+  splits.val = std::move(parts[0]);
+  splits.test = std::move(parts[1]);
+  return splits;
+}
+
+data::Dataset benchmark_train_split(const Benchmark& bm) {
+  const data::SyntheticSpec spec = benchmark_spec(bm);
+  return std::move(data::generate_synthetic_parts(spec, {train_size(spec)})[0]);
 }
 
 std::string cache_dir() {
@@ -157,9 +173,8 @@ std::optional<nn::Network> trained_network(const Benchmark& bm,
   Rng rng(variant_seed(bm, prep_spec, variant));
   nn::Network net = build_model(bm, rng);
 
-  data::DatasetSplits splits = benchmark_splits(bm);
+  data::Dataset train = benchmark_train_split(bm);
   const auto prep = prep::make_preprocessor(prep_spec);
-  data::Dataset train = splits.train;
   train.images = prep->apply(train.images);
 
   TrainConfig config = bm.train;

@@ -33,8 +33,13 @@ const std::vector<Benchmark>& all_benchmarks();
 /// Looks a benchmark up by id; throws std::invalid_argument when unknown.
 const Benchmark& find_benchmark(const std::string& id);
 
-/// Deterministically regenerates the benchmark's train/val/test splits.
+/// Deterministically regenerates the benchmark's val and test splits.
+/// `train` is left empty: only the trainer reads it, through
+/// benchmark_train_split. Val and test are the same either way.
 data::DatasetSplits benchmark_splits(const Benchmark& bm);
+
+/// The benchmark's train split, which the zoo trains every member on.
+data::Dataset benchmark_train_split(const Benchmark& bm);
 
 /// Directory trained models are cached in ($PGMR_CACHE_DIR or .pgmr_cache).
 std::string cache_dir();

@@ -1,6 +1,6 @@
 // The fast conv forward engine against its scalar oracle, bit for bit:
 // im2col_fast vs im2col, gemm_bias vs bias-fill + gemm_accumulate, and
-// Conv2D's forward, forward_abft and forward_folded vs per-sample
+// Conv2D's forward, forward_abft and forward_fused vs per-sample
 // im2col + gemm_accumulate. Every comparison is a memcmp.
 #include <gtest/gtest.h>
 
@@ -253,8 +253,9 @@ TEST_P(ConvEngineTest, AbftAndFoldedPathsMatchOracle) {
   Tensor shift;
   bn.effective_affine(&scale, &shift);
   AbftLayerCheck folded;
-  const Tensor got = conv.forward_folded(
-      input, bn, conv.abft_checksum_folded(scale, shift), &folded);
+  const AbftChecksum golden = conv.abft_checksum_folded(scale, shift);
+  const Tensor got =
+      conv.forward_fused(input, &bn, /*relu=*/false, &golden, &folded);
   const Tensor bn_want = bn.forward(want, /*train=*/false);
   EXPECT_TRUE(same_bits(got.data(), bn_want.data(), bn_want.numel()));
   EXPECT_TRUE(folded.checked);

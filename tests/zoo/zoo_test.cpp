@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "data/synthetic.h"
+
 namespace pgmr::zoo {
 namespace {
 
@@ -45,19 +47,39 @@ TEST(ZooRegistryTest, SplitsAreDeterministicAndSized) {
   const data::DatasetSplits b = benchmark_splits(bm);
   EXPECT_EQ(a.val.size(), 1000);
   EXPECT_EQ(a.test.size(), 1000);
-  EXPECT_GT(a.train.size(), 2000);
+  EXPECT_EQ(a.train.size(), 0);  // only the trainer renders it
   EXPECT_TRUE(allclose(a.test.images, b.test.images, 0.0F));
-  EXPECT_EQ(a.train.num_classes, 10);
+  const data::Dataset train = benchmark_train_split(bm);
+  EXPECT_EQ(train.size(), 3000);
+  EXPECT_EQ(train.num_classes, 10);
+}
+
+TEST(ZooRegistryTest, SplitsMatchTheFullRendering) {
+  // The train draws run into a scratch image: val, test and the trainer's
+  // split are bit-identical to cutting the whole rendered corpus.
+  const Benchmark& bm = find_benchmark("lenet5");
+  const std::vector<data::Dataset> full = data::generate_synthetic_parts(
+      data::smnist_spec(5000), {3000, 1000, 1000});
+  const data::DatasetSplits s = benchmark_splits(bm);
+  const data::Dataset train = benchmark_train_split(bm);
+  EXPECT_TRUE(allclose(train.images, full[0].images, 0.0F));
+  EXPECT_EQ(train.labels, full[0].labels);
+  EXPECT_TRUE(allclose(s.val.images, full[1].images, 0.0F));
+  EXPECT_EQ(s.val.labels, full[1].labels);
+  EXPECT_TRUE(allclose(s.test.images, full[2].images, 0.0F));
+  EXPECT_EQ(s.test.labels, full[2].labels);
 }
 
 TEST(ZooRegistryTest, TrainValTestAreDisjointByConstruction) {
   // Slices of a single generated corpus: verify boundaries by comparing
   // the first test sample against every train sample (all differ).
-  const data::DatasetSplits s = benchmark_splits(find_benchmark("lenet5"));
+  const Benchmark& bm = find_benchmark("lenet5");
+  const data::DatasetSplits s = benchmark_splits(bm);
+  const data::Dataset train = benchmark_train_split(bm);
   const Tensor probe = s.test.sample(0);
   int matches = 0;
-  for (std::int64_t i = 0; i < s.train.size(); ++i) {
-    if (allclose(probe, s.train.sample(i), 1e-7F)) ++matches;
+  for (std::int64_t i = 0; i < train.size(); ++i) {
+    if (allclose(probe, train.sample(i), 1e-7F)) ++matches;
   }
   EXPECT_EQ(matches, 0);
 }
