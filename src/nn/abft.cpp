@@ -17,45 +17,6 @@ void abft_fold(double actual, double expected, AbftLayerCheck* check) {
   }
 }
 
-void abft_fold_cols(const double* actual, const double* expected,
-                    std::int64_t n, AbftLayerCheck* check) {
-  // abft_fold per column, four columns at a time in GCC vectors. The
-  // verdict ANDs the same comparisons. Every ratio is >= 0 (or NaN), so the
-  // largest finite one does not depend on the order the columns are met
-  // in, and converting it to float commutes with taking the maximum.
-  using Lanes = double __attribute__((vector_size(4 * sizeof(double))));
-  using Bits = std::int64_t __attribute__((vector_size(4 * sizeof(double))));
-  const auto magnitude = [](Lanes x) {  // std::abs: clears the sign bit
-    Bits b;
-    std::memcpy(&b, &x, sizeof b);
-    b &= std::numeric_limits<std::int64_t>::max();
-    std::memcpy(&x, &b, sizeof x);
-    return x;
-  };
-  const double tolerance = kAbftTolerance;
-  const double inf = std::numeric_limits<double>::infinity();
-  Bits ok = Bits{} - 1;
-  Lanes worst = {};
-  std::int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    Lanes a;
-    Lanes e;
-    std::memcpy(&a, actual + j, sizeof a);
-    std::memcpy(&e, expected + j, sizeof e);
-    const Lanes rel = magnitude(a - e) / (1.0 + magnitude(e));
-    ok &= rel <= tolerance;
-    worst = (rel < inf) & (rel > worst) ? rel : worst;
-  }
-  double largest = 0.0;
-  for (int l = 0; l < 4; ++l) {
-    if (ok[l] == 0) check->ok = false;
-    largest = std::max(largest, worst[l]);
-  }
-  check->max_rel_error =
-      std::max(check->max_rel_error, static_cast<float>(largest));
-  for (; j < n; ++j) abft_fold(actual[j], expected[j], check);
-}
-
 const char* to_string(Protection p) {
   switch (p) {
     case Protection::off: return "off";

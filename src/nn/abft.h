@@ -109,10 +109,6 @@ void abft_verify_cols(const float* b, const float* c, std::int64_t m,
 /// not set `checked`.
 void abft_fold(double actual, double expected, AbftLayerCheck* check);
 
-/// abft_fold(actual[j], expected[j], check) for j in [0, n), in one pass.
-void abft_fold_cols(const double* actual, const double* expected,
-                    std::int64_t n, AbftLayerCheck* check);
-
 /// Per-channel affine verification for eval-mode BatchNorm,
 /// y[n,c,i] = scale[c]·x[n,c,i] + shift[c]: for every (sample, spatial
 /// position) the channel sum of y must equal

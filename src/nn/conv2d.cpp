@@ -54,22 +54,18 @@ Shape Conv2D::output_shape(const Shape& in) const {
 }
 
 Tensor Conv2D::forward(const Tensor& input, bool train) {
-  if (!train) return forward_fused(input, nullptr, false, nullptr, nullptr);
+  Tensor out = forward_fused(input, nullptr, false, nullptr, nullptr);
+  if (!train) return out;
+  // Backward reads every sample's column matrix, so training keeps them.
   const ConvGeometry geo = geometry(input.shape());
   const std::int64_t batch = input.shape()[0];
-  const std::int64_t spatial = geo.out_h() * geo.out_w();
-  const std::int64_t col_size = geo.patch_size() * spatial;
+  const std::int64_t col_size = geo.patch_size() * geo.out_h() * geo.out_w();
   const std::int64_t in_per_sample = in_c_ * geo.in_h * geo.in_w;
-  Tensor out(Shape{batch, out_c_, geo.out_h(), geo.out_w()});
-  // Backward reads every sample's column matrix, so training keeps them.
   cached_in_shape_ = input.shape();
   cached_cols_.resize(static_cast<std::size_t>(batch * col_size));
   for (std::int64_t n = 0; n < batch; ++n) {
-    float* col = cached_cols_.data() + n * col_size;
-    im2col_fast(input.data() + n * in_per_sample, geo, col);
-    gemm_bias(weight_.data(), bias_.data(), col,
-              out.data() + n * out_c_ * spatial, out_c_, geo.patch_size(),
-              spatial);
+    im2col_fast(input.data() + n * in_per_sample, geo,
+                cached_cols_.data() + n * col_size);
   }
   return out;
 }

@@ -1,6 +1,7 @@
-// Conv2D: square-kernel 2-D convolution lowered to GEMM. Inference runs
-// the one-pass engine (conv_forward in forward_engine.h); training lowers
-// through im2col and keeps the column matrix for backward.
+// Conv2D: square-kernel 2-D convolution lowered to GEMM. Both forwards run
+// the one-pass engine (conv_forward in forward_engine.h); training also
+// lowers each sample through im2col and keeps the column matrix for
+// backward.
 #pragma once
 
 #include <vector>

@@ -48,22 +48,6 @@ inline Vec gather(const float* base, const std::int32_t* idx, int n) {
       _mm512_mask_cmpge_epi32_mask(lanes(n), at, _mm512_setzero_si512());
   return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live, at, base, 4);
 }
-using DVec = __m512d;
-constexpr int kHalf = 8;
-inline DVec dsplat(double x) { return _mm512_set1_pd(x); }
-inline DVec dload(const double* p) { return _mm512_loadu_pd(p); }
-inline void dstore(double* p, DVec v) { _mm512_storeu_pd(p, v); }
-// The masked forms with a full mask: the unmasked intrinsics start from an
-// undefined vector, which GCC 12 reports as maybe-uninitialized.
-inline DVec widen_half(Vec v, int half) {
-  const __m512d halves = _mm512_castps_pd(v);
-  const __m256d h = half == 0 ? _mm512_maskz_extractf64x4_pd(0xF, halves, 0)
-                              : _mm512_maskz_extractf64x4_pd(0xF, halves, 1);
-  return _mm512_maskz_cvtps_pd(0xFF, _mm256_castpd_ps(h));
-}
-inline DVec widen_at(const float* p) {
-  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
-}
 #elif defined(__AVX2__)
 using Vec = __m256;
 constexpr int kLanes = 8;
@@ -92,18 +76,6 @@ inline Vec load_mask(const float* base, std::int64_t at, std::uint32_t bits) {
   const __m256i set = _mm256_and_si256(
       _mm256_set1_epi32(static_cast<int>(bits)), bit);
   return _mm256_maskload_ps(base + at, _mm256_cmpeq_epi32(set, bit));
-}
-using DVec = __m256d;
-constexpr int kHalf = 4;
-inline DVec dsplat(double x) { return _mm256_set1_pd(x); }
-inline DVec dload(const double* p) { return _mm256_loadu_pd(p); }
-inline void dstore(double* p, DVec v) { _mm256_storeu_pd(p, v); }
-inline DVec widen_half(Vec v, int half) {
-  return _mm256_cvtps_pd(half == 0 ? _mm256_castps256_ps128(v)
-                                   : _mm256_extractf128_ps(v, 1));
-}
-inline DVec widen_at(const float* p) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 #else
 constexpr int kLanes = 4;
@@ -137,15 +109,47 @@ inline Vec gather(const float* base, const std::int32_t* idx, int n) {
   }
   return v;
 }
-constexpr int kHalf = 2;
+#endif
+
+// The double helpers are one set for every tier: GCC vectors of half a
+// Vec's lanes. (x − 0 is x for every x, -0.0 and NaN included, and GCC
+// turns it into one broadcast.)
+constexpr int kHalf = kLanes / 2;
 using DVec = double __attribute__((vector_size(kHalf * sizeof(double))));
-inline DVec dsplat(double x) { return DVec{x, x}; }
+inline DVec dsplat(double x) { return x - DVec{}; }
 inline DVec dload(const double* p) {
   DVec v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
 inline void dstore(double* p, DVec v) { std::memcpy(p, &v, sizeof v); }
+
+// Half a Vec widened to double: lanes [half·kHalf, half·kHalf + kHalf) of
+// v, or the kHalf floats at p. The AVX tiers name the conversion: GCC 12
+// lowers __builtin_convertvector of a half-width float vector into two
+// narrower conversions and a merge, and widening the whole Vec instead
+// made a resnet20 member 2 % slower under full protection.
+#if defined(__AVX512F__)
+// The masked forms with a full mask: the unmasked intrinsics start from an
+// undefined vector, which GCC 12 reports as maybe-uninitialized.
+inline DVec widen_half(Vec v, int half) {
+  const __m512d halves = _mm512_castps_pd(v);
+  const __m256d h = half == 0 ? _mm512_maskz_extractf64x4_pd(0xF, halves, 0)
+                              : _mm512_maskz_extractf64x4_pd(0xF, halves, 1);
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_castpd_ps(h));
+}
+inline DVec widen_at(const float* p) {
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
+}
+#elif defined(__AVX2__)
+inline DVec widen_half(Vec v, int half) {
+  return _mm256_cvtps_pd(half == 0 ? _mm256_castps256_ps128(v)
+                                   : _mm256_extractf128_ps(v, 1));
+}
+inline DVec widen_at(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+#else
 inline DVec widen_half(Vec v, int half) {
   return DVec{v[2 * half], v[2 * half + 1]};
 }
@@ -187,8 +191,12 @@ struct Band {
 /// ascending p with abft_verify_cols' zero skip. The store applies the
 /// epilogue, adds each value after the BatchNorm (before the ReLU) to its
 /// column's double sum in row order, and writes the valid lanes.
+///
+/// Kept out of line: inlined into run_tiles (which GCC 12 does once
+/// run_tiles has a single caller) the accumulators spill, and a resnet20
+/// member ran 19 % slower unchecked (105 against 88 µs per sample).
 template <int MR, int NV, bool kExpected>
-void tile(const Band& t) {
+[[gnu::noinline]] void tile(const Band& t) {
   Vec acc[MR][NV];
   for (int r = 0; r < MR; ++r) {
     const Vec start = splat(t.bias[r]);
@@ -333,7 +341,7 @@ void run_tiles(const float* a, const float* bias, std::int64_t m,
       }
     }
     if (golden != nullptr) {
-      abft_fold_cols(actual, expected, t.cols, check);
+      for (int j = 0; j < t.cols; ++j) abft_fold(actual[j], expected[j], check);
     }
   }
 }
@@ -602,24 +610,6 @@ void im2col_fast(const float* image, const ConvGeometry& geo, float* col) {
       }
     }
   }
-}
-
-void gemm_bias(const float* a, const float* bias, const float* b, float* c,
-               std::int64_t m, std::int64_t k, std::int64_t n) {
-  const auto copy_panel = [b, k, n](float* panel, std::int64_t j0, int cols,
-                                    int width) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float* src = b + p * n + j0;
-      float* dst = panel + p * width;
-      for (int v = 0; v * kLanes < width; ++v) {
-        const int valid = std::clamp(cols - v * kLanes, 0, kLanes);
-        const float* from = src + v * kLanes;
-        store(dst + v * kLanes,
-              valid == kLanes ? load(from) : load_part(from, valid));
-      }
-    }
-  };
-  run_tiles(a, bias, m, k, n, copy_panel, ConvEpilogue{}, nullptr, nullptr, c);
 }
 
 void conv_forward(const float* input, std::int64_t batch,

@@ -71,21 +71,12 @@ void conv_forward(const float* input, std::int64_t batch,
 /// training forward, which keeps the column matrix for backward.
 void im2col_fast(const float* image, const ConvGeometry& geo, float* col);
 
-/// C[M,N] = bias[i] + sum_p A[i,p]·B[p,j] with the bits of filling C's row i
-/// with bias[i] and calling gemm_accumulate(a, b, c, m, k, n), including its
-/// zero-weight skip: a term with A[i,p] == 0 is never added, so a non-finite
-/// B[p,j] behind a zero weight does not reach C and a -0.0 sum keeps its
-/// sign. A is row-major [M,K], B row-major [K,N]; C is fully overwritten.
-/// The same tiles as conv_forward, with panels copied from B.
-void gemm_bias(const float* a, const float* bias, const float* b, float* c,
-               std::int64_t m, std::int64_t k, std::int64_t n);
-
 /// C[M,N] = bias[j] + dot(A[i,:], B[j,:]) with the bits of filling C's
 /// column j with bias[j] and calling gemm_a_bt(a, b, c, m, k, n): each dot
 /// product is summed from 0.0F over p in ascending order, then added to the
 /// bias. B is stored [N,K]; C is fully overwritten.
 ///
-/// Unlike gemm_bias, this identity rests on GCC's vectorizer as well as on
+/// Unlike conv_forward, this identity rests on GCC's vectorizer as well as on
 /// the source: GCC turns gemm_a_bt's dot product into an in-order reduction
 /// (each vector product rounded, then added lane by lane; the scalar tail
 /// contracted into FMA), and the engine's loop has the same shape so that

@@ -1,5 +1,6 @@
 // The fast conv forward engine against its scalar oracle, bit for bit:
-// im2col_fast vs im2col, gemm_bias vs bias-fill + gemm_accumulate, and
+// im2col_fast vs im2col, conv_forward's tiles vs bias-fill +
+// gemm_accumulate, and
 // Conv2D's forward, forward_abft and forward_fused vs per-sample
 // im2col + gemm_accumulate. Every comparison is a memcmp.
 #include <gtest/gtest.h>
@@ -45,6 +46,18 @@ std::int64_t first_difference(const float* a, const float* b, std::int64_t n) {
 float runtime_nan() {
   volatile float inf = std::numeric_limits<float>::infinity();
   return inf - inf;
+}
+
+/// C[m,n] = bias + A·B through conv_forward: a 1x1 conv over a [k, 1, n]
+/// image has B itself as its column matrix.
+void conv_gemm(const float* a, const float* bias, const float* b, float* c,
+               std::int64_t m, std::int64_t k, std::int64_t n) {
+  ConvGeometry geo;
+  geo.in_channels = k;
+  geo.in_h = 1;
+  geo.in_w = n;
+  geo.kernel = 1;
+  conv_forward(b, 1, geo, a, bias, m, ConvEpilogue{}, nullptr, nullptr, c);
 }
 
 struct ConvShape {
@@ -285,7 +298,7 @@ TEST(GemmBiasTest, MatchesOracleOnRaggedTiles) {
       }
       gemm_accumulate(a.data(), b.data(), want.data(), m, k, n);
       std::vector<float> got(static_cast<std::size_t>(m * n), 99.0F);
-      gemm_bias(a.data(), bias.data(), b.data(), got.data(), m, k, n);
+      conv_gemm(a.data(), bias.data(), b.data(), got.data(), m, k, n);
       ASSERT_TRUE(same_bits(got.data(), want.data(), m * n))
           << "m " << m << " k " << k << " n " << n;
     }
@@ -306,7 +319,7 @@ TEST(AbftColsTest, MatchesTheColumnWalk) {
   for (float& v : b) v = rng.uniform(-1, 1);
   for (float& v : bias) v = rng.uniform(-1, 1);
   std::vector<float> c(static_cast<std::size_t>(m * n));
-  gemm_bias(a.data(), bias.data(), b.data(), c.data(), m, k, n);
+  conv_gemm(a.data(), bias.data(), b.data(), c.data(), m, k, n);
   c[3 * n + 17] *= 1.5F;  // one corrupted output
 
   AbftChecksum golden;

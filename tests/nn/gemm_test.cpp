@@ -99,7 +99,7 @@ TEST(GemmTest, ZeroWeightTermsAreSkipped) {
   // gemm_accumulate never adds a term whose A element is zero: a NaN or
   // inf in B behind a zero weight does not reach C, and a -0.0 in C keeps
   // its sign (adding +0.0 * b would turn it into +0.0). The fast conv GEMM
-  // (gemm_bias) reproduces this; the non-finite detector and the MR vote
+  // (conv_forward) reproduces this; the non-finite detector and the MR vote
   // see the same outputs under activation corruption either way.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
